@@ -11,10 +11,9 @@ from .adomian import (
     AnalyticNonlinearity,
     adomian_polynomials,
     lambda_expansion_oracle,
-    oscillator_adomian,
     oscillator_kappa,
 )
-from .approximants import SinusoidSum, eval_sinusoid, hbm, hbm_frequency, tabulated
+from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
 from .errors import (
     CapabilityError,
     DomainError,
@@ -23,7 +22,7 @@ from .errors import (
     NotTabulatedError,
     OracleError,
 )
-from .oracle import OracleConfig, OracleTrajectory, energy, integrate, period, sample_on_grid
+from .oracle import OracleConfig, OracleTrajectory, energy, integrate, period
 from .report import ComparisonReport, build_report, sweep_csv
 from .series import TimePolynomial
 from .solver import (
@@ -59,17 +58,14 @@ __all__ = [
     "adomian_polynomials",
     "build_report",
     "energy",
-    "eval_sinusoid",
     "hbm",
     "hbm_frequency",
     "integrate",
     "lambda_expansion_oracle",
-    "oscillator_adomian",
     "oscillator_kappa",
     "oscillator_series",
     "period",
     "residual",
-    "sample_on_grid",
     "series_frequency",
     "solve_ivp",
     "sweep_csv",

@@ -1,20 +1,18 @@
 """Adomian polynomial sequences.
 
-Two constructions live here:
+``adomian_polynomials`` builds A_0..A_k for a nonlinearity N(x), defined
+by the lambda expansion A_n = (1/n!) d^n/dlambda^n N(sum_i x_i lambda^i)
+at lambda = 0, with Duan's recurrence (Appl. Math. Comput. 217 (2011)
+6337-6348): A_0 = N(x_0), A_n = sum_{k=1}^{n} C(k, n) N^(k)(x_0), where
+C(0, 0) = 1, C(0, n) = 0 for n >= 1 and
 
-* ``adomian_polynomials`` -- the generic sequence A_0..A_k for a
-  nonlinearity N(x), obtained from the lambda-expansion definition
-  A_n = (1/n!) d^n/dlambda^n N(sum_i x_i lambda^i) | lambda=0,
-  realized as truncated series composition.  For orders <= 4 this
-  reproduces the classical closed forms (A_0 = N(x_0),
-  A_1 = x_1 N'(x_0), ...).
+    C(k, n) = (1/n) sum_{j=0}^{n-k} (j+1) x_{j+1} C(k-1, n-1-j).
 
-* ``oscillator_adomian`` -- the frozen-coefficient sequence used for the
-  relativistic oscillator, A_m = kappa * x_m with kappa = (1-beta^2)^(3/2).
-  Note this treats the velocity factor as the constant (1 - beta^2)^(3/2)
-  throughout; it is not the standard Adomian expansion of the full
-  velocity-dependent nonlinearity, and the two are reconciled nowhere in
-  this package (the series it generates is the deliverable).
+For orders <= 4 this reproduces the classical closed forms (A_0 = N(x_0),
+A_1 = x_1 N'(x_0), ...).  The relativistic oscillator's frozen-coefficient
+sequence A_m = kappa x_m is the case N(x) = kappa x, kappa = (1 - beta^2)^(3/2)
+(``oscillator_kappa``); it freezes the velocity factor and is not the
+Adomian expansion of the full velocity-dependent nonlinearity.
 
 ``lambda_expansion_oracle`` is an independent finite-difference check of
 the generic construction, kept deliberately free of any series algebra.
@@ -79,10 +77,9 @@ class AnalyticNonlinearity:
 
 @dataclass(frozen=True)
 class AdomianSequence:
-    """Ordered polynomials A_0..A_k plus the construction they came from."""
+    """Ordered polynomials A_0..A_k."""
 
     polys: tuple[TimePolynomial, ...]
-    source: str = "generic"  # "generic" | "oscillator-paper"
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -113,11 +110,9 @@ def adomian_polynomials(
     order: int,
     max_degree: int,
 ) -> AdomianSequence:
-    """Generic Adomian polynomials A_0..A_order for N(x).
+    """Generic Adomian polynomials A_0..A_order for N(x) by Duan's recurrence.
 
-    Expands N(sum_i x_i lambda^i) as a series in lambda with
-    TimePolynomial coefficients (truncated at max_degree in t) and reads
-    off the lambda-Taylor coefficients.
+    All products are truncated at max_degree in t.
     """
     if not components:
         raise DomainError("components must be non-empty")
@@ -130,35 +125,24 @@ def adomian_polynomials(
     # N^(k)(x0) for k = 0..order, as truncated series in t
     g = [_compose_derivative(nonlin, k, x0, max_degree) for k in range(order + 1)]
 
-    # lambda-series v = sum_{i>=1} x_i lambda^i, and its powers v^k
+    # c[k][n] = C(k, n), filled for each n in turn; C(0, 0) = 1, C(0, n) = 0.
+    # Rows past the last nonzero N^(k)(x0) never reach an A_n.
+    top = max((k for k, gk in enumerate(g) if gk), default=0)
     zero = TimePolynomial.zero()
-    v = [zero] + [
-        components[i] if i < len(components) else zero for i in range(1, order + 1)
-    ]
-    # v_pow[k][n] = [lambda^n] v^k
-    v_pow = [[TimePolynomial.constant(1.0)] + [zero] * order]
-    for k in range(1, order + 1):
-        prev = v_pow[-1]
-        cur = [zero] * (order + 1)
-        for n in range(k, order + 1):  # v has no lambda^0 term
-            acc = zero
-            for i in range(1, n + 1):
-                if v[i] and prev[n - i]:
-                    acc = acc + v[i].mul_truncated(prev[n - i], max_degree)
-            cur[n] = acc
-        v_pow.append(cur)
-
-    polys = []
-    for n in range(order + 1):
+    c = [[zero] * (order + 1) for _ in range(order + 1)]
+    c[0][0] = TimePolynomial.constant(1.0)
+    polys = [g[0]]
+    for n in range(1, order + 1):
         a_n = zero
-        for k in range(n + 1):
-            if not v_pow[k][n]:
-                continue
-            a_n = a_n + g[k].mul_truncated(v_pow[k][n], max_degree).scale(
-                1.0 / math.factorial(k)
-            )
+        for k in range(1, min(n, top) + 1):
+            for j in range(n - k + 1):
+                x, prev = components[j + 1], c[k - 1][n - 1 - j]
+                if x and prev:
+                    c[k][n] = c[k][n] + x.mul_truncated(prev, max_degree).scale((j + 1) / n)
+            if g[k] and c[k][n]:
+                a_n = a_n + g[k].mul_truncated(c[k][n], max_degree)
         polys.append(a_n)
-    return AdomianSequence(polys=tuple(polys), source="generic")
+    return AdomianSequence(polys=tuple(polys))
 
 
 def oscillator_kappa(beta: float) -> float:
@@ -166,13 +150,6 @@ def oscillator_kappa(beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     return (1.0 - beta * beta) ** 1.5
-
-
-def oscillator_adomian(m: int, x_m: TimePolynomial, beta: float) -> TimePolynomial:
-    """Oscillator sequence A_m = kappa * x_m, independent of m."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    return x_m.scale(oscillator_kappa(beta))
 
 
 # Central finite-difference stencils for d^n/dh^n, O(h^4) accurate.

@@ -42,10 +42,6 @@ class SinusoidSum:
         return self.terms[0][1]
 
 
-def eval_sinusoid(s: SinusoidSum, t: float) -> float:
-    return s.eval(t)
-
-
 def hbm_frequency(beta: float) -> float:
     """Harmonic-balance frequency ((2 - 2 beta^2) / (2 - beta^2))^(1/4)."""
     if not 0.0 < beta < 1.0:

@@ -10,13 +10,10 @@ import argparse
 import json
 import sys
 
-from . import approximants, oracle, report, svgplot
+from . import oracle, report, svgplot
 from .errors import DomainError, NotTabulatedError, OracleError
+from .report import _fmt
 from .solver import oscillator_series
-
-
-def _fmt(x: float) -> str:
-    return "%.12e" % x
 
 
 def cmd_series(args) -> int:
@@ -85,11 +82,10 @@ def cmd_period(args) -> int:
 def cmd_dimensional(args) -> int:
     if args.omega0 <= 0 or args.c <= 0:
         raise DomainError("omega0 and c must be positive")
+    grid = report.make_grid(args.t_max, args.dt)
     p = oscillator_series(args.beta, args.terms).full_sum()
     print("t,x,t_dimensional,x_dimensional")
-    n = int(round(args.t_max / args.dt))
-    for i in range(n + 1):
-        t = i * args.dt
+    for t in grid:
         x = p.eval(t)
         print(",".join(_fmt(v) for v in (t, x, t / args.omega0, args.c * x / args.omega0)))
     return 0

@@ -28,7 +28,6 @@ class OracleConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     t_end: float = 100.0
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -65,10 +64,6 @@ class OracleTrajectory:
             out.append(float(self.interpolant(t)[0]))
         return out
 
-    def state(self, t: float) -> tuple[float, float]:
-        x, v = self.interpolant(t)
-        return float(x), float(v)
-
 
 def _rhs(t, y):
     x, v = y
@@ -94,10 +89,6 @@ def integrate(beta: float, cfg: OracleConfig | None = None) -> OracleTrajectory:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
     if not res.success:
         raise OracleError(f"integration failed for beta={beta}: {res.message}")
-    if res.t.size > cfg.max_steps:
-        raise OracleError(
-            f"step budget exceeded: {res.t.size} accepted steps > {cfg.max_steps}"
-        )
     xs, vs = res.y
     if np.any(np.abs(vs) >= 1.0):
         i = int(np.argmax(np.abs(vs)))
@@ -117,10 +108,6 @@ def integrate(beta: float, cfg: OracleConfig | None = None) -> OracleTrajectory:
         interpolant=res.sol,
         energy_drift=drift,
     )
-
-
-def sample_on_grid(traj: OracleTrajectory, ts) -> list[float]:
-    return traj.sample_on_grid(ts)
 
 
 def period(beta: float, cfg: OracleConfig | None = None, traj: OracleTrajectory | None = None) -> float:

@@ -7,9 +7,10 @@ primitive is exactly a degree shift by two, so
     x_0 = alpha + beta t,
     x_{n+1} = -double_integrate(A_n).
 
-For the relativistic oscillator (tagged specs) the sequence collapses to
-a pure scaling A_m = kappa x_m with kappa = (1 - beta^2)^(3/2), which
-yields the closed component formula
+The relativistic oscillator, built by ``IVPSpec.oscillator(beta)``, is
+the frozen-coefficient linear nonlinearity N(x) = kappa x with
+kappa = (1 - beta^2)^(3/2) and runs through the same loop.  Its sequence
+collapses to A_m = kappa x_m, which yields the closed component formula
 
     x_n = beta (-kappa)^n t^(2n+1) / (2n+1)!
 
@@ -23,12 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .adomian import (
-    AnalyticNonlinearity,
-    adomian_polynomials,
-    oscillator_adomian,
-    oscillator_kappa,
-)
+from .adomian import AnalyticNonlinearity, adomian_polynomials, oscillator_kappa
 from .errors import DomainError
 from .series import TimePolynomial
 
@@ -37,31 +33,25 @@ OSCILLATOR = "relativistic-oscillator"
 
 @dataclass(frozen=True)
 class IVPSpec:
-    """Initial data x(0)=alpha, x'(0)=beta plus the nonlinearity.
-
-    ``nonlinearity`` is either an AnalyticNonlinearity or the OSCILLATOR
-    tag string selecting the frozen-coefficient oscillator sequence.
-    """
+    """Initial data x(0)=alpha, x'(0)=beta plus the nonlinearity N."""
 
     alpha: float
     beta: float
-    nonlinearity: AnalyticNonlinearity | str
+    nonlinearity: AnalyticNonlinearity
 
     def __post_init__(self) -> None:
-        if self.is_oscillator:
-            if self.alpha != 0.0:
-                raise DomainError("oscillator problems require alpha = 0")
-            oscillator_kappa(self.beta)  # validates 0 < beta < 1
-        elif not isinstance(self.nonlinearity, AnalyticNonlinearity):
-            raise DomainError(f"unknown nonlinearity tag {self.nonlinearity!r}")
-
-    @property
-    def is_oscillator(self) -> bool:
-        return self.nonlinearity == OSCILLATOR
+        if not isinstance(self.nonlinearity, AnalyticNonlinearity):
+            raise DomainError(f"not an AnalyticNonlinearity: {self.nonlinearity!r}")
 
     @classmethod
     def oscillator(cls, beta: float) -> "IVPSpec":
-        return cls(alpha=0.0, beta=beta, nonlinearity=OSCILLATOR)
+        """x(0)=0, x'(0)=beta with the frozen linear N(x) = kappa x."""
+        kappa = oscillator_kappa(beta)
+
+        def d(u: float, j: int) -> float:
+            return kappa * u if j == 0 else (kappa if j == 1 else 0.0)
+
+        return cls(0.0, beta, AnalyticNonlinearity(name=OSCILLATOR, deriv_fn=d))
 
 
 @dataclass(frozen=True)
@@ -105,18 +95,14 @@ def solve_ivp(spec: IVPSpec, n_terms: int, max_degree: int | None = None) -> Ser
         max_degree = 2 * n_terms + 1
     x0 = TimePolynomial.from_dict({0: spec.alpha, 1: spec.beta})
     components = [x0]
-    if spec.is_oscillator:
-        kappa = oscillator_kappa(spec.beta)
-        for m in range(n_terms - 1):
-            a_m = oscillator_adomian(m, components[m], spec.beta)
-            components.append(-a_m.double_integrate())
-        return SeriesSolution(
-            components=tuple(components), beta=spec.beta, n_terms=n_terms, kappa=kappa
-        )
     for n in range(n_terms - 1):
         a_n = adomian_polynomials(spec.nonlinearity, components, n, max_degree)[n]
         components.append(-a_n.double_integrate().truncate(max_degree + 2))
-    return SeriesSolution(components=tuple(components), beta=spec.beta, n_terms=n_terms)
+    # N'(0) of the frozen linear nonlinearity is the oscillator's kappa
+    kappa = spec.nonlinearity.deriv(0.0, 1) if spec.nonlinearity.name == OSCILLATOR else None
+    return SeriesSolution(
+        components=tuple(components), beta=spec.beta, n_terms=n_terms, kappa=kappa
+    )
 
 
 def oscillator_series(beta: float, n_terms: int) -> SeriesSolution:

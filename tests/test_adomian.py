@@ -7,10 +7,10 @@ from ladm import (
     AnalyticNonlinearity as NL,
     CapabilityError,
     DomainError,
+    IVPSpec,
     TimePolynomial as TP,
     adomian_polynomials,
     lambda_expansion_oracle,
-    oscillator_adomian,
     oscillator_kappa,
 )
 from ladm.adomian import _compose_derivative
@@ -43,6 +43,29 @@ def closed_form_sequence(nonlin, comps, max_degree):
         + mul(mul(mul(mul(x1, x1), x1), x1), g[4]).scale(1 / 24)
     )
     return [a0, a1, a2, a3, a4]
+
+
+def lambda_power_coefficients(comps, p, max_degree):
+    """[lambda^n] (sum_i x_i lambda^i)^p for n < len(comps), by Cauchy products only."""
+    zero = TP.zero()
+    out = [TP.constant(1.0)] + [zero] * (len(comps) - 1)
+    for _ in range(p):
+        out = [
+            sum((comps[i].mul_truncated(out[n - i], max_degree) for i in range(n + 1)), zero)
+            for n in range(len(comps))
+        ]
+    return out
+
+
+def oscillator_a(m, x_m, beta):
+    """A_m of the oscillator's N(x) = kappa x from the generic engine.
+
+    The components before x_m are deliberately nonzero: A_m must not
+    depend on them for m >= 1.
+    """
+    fill = [TP.from_dict({0: 0.3, 1: 0.7 / (i + 1)}) for i in range(m)]
+    nonlin = IVPSpec.oscillator(beta).nonlinearity
+    return adomian_polynomials(nonlin, fill + [x_m], m, MAX_DEG)[m]
 
 
 def random_components(rng, n=5, max_deg=3, scale=0.2):
@@ -122,6 +145,21 @@ class TestGenericEngine:
             direct = nonlin(sum(x.eval(t) for x in comps))
             assert total == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_orders_above_four_match_lambda_power(self, p):
+        # the finite-difference oracle stops at order 4; for N = x^p the
+        # lambda-expansion definition is a plain power of a lambda-series
+        rng = random.Random(19 + p)
+        comps = random_components(rng, n=11, scale=1.0)
+        comps[0] = comps[0] + TP.constant(0.5)
+        seq = adomian_polynomials(NL.power(p), comps, 10, MAX_DEG)
+        want = lambda_power_coefficients(comps, p, MAX_DEG)
+        for n in range(5, 11):
+            assert want[n], f"A_{n} reference is zero"
+            scale = max(abs(c) for _, c in want[n].terms)
+            diff = seq[n] - want[n]
+            assert all(abs(c) <= 1e-12 * scale for _, c in diff.terms), f"A_{n} mismatch"
+
     def test_order_exceeds_components(self):
         with pytest.raises(DomainError):
             adomian_polynomials(NL.power(2), [TP.constant(1.0)], 1, 4)
@@ -140,32 +178,33 @@ class TestGenericEngine:
 class TestOscillatorSequence:
     def test_scales_by_kappa(self):
         x0 = TP.from_dict({1: 0.1})
-        a0 = oscillator_adomian(0, x0, 0.1)
+        a0 = oscillator_a(0, x0, 0.1)
         assert a0.as_dict() == {1: pytest.approx(0.1 * 0.99**1.5)}
 
     def test_second_component(self):
         beta = 0.3
         kappa = oscillator_kappa(beta)
         x1 = TP.monomial(3, -beta * kappa)
-        a1 = oscillator_adomian(1, x1, beta)
+        a1 = oscillator_a(1, x1, beta)
         assert a1.coeff(3) == pytest.approx(-beta * kappa**2, rel=1e-15)
 
     def test_zero_component(self):
-        assert not oscillator_adomian(5, TP.zero(), 0.4)
+        assert not oscillator_a(5, TP.zero(), 0.4)
 
     def test_linear_in_component_and_independent_of_m(self):
         p = TP.from_dict({1: 0.2, 5: -0.7})
         q = TP.from_dict({3: 1.1})
         beta = 0.5
-        lhs = oscillator_adomian(2, p + q.scale(3.0), beta)
-        rhs = oscillator_adomian(9, p, beta) + oscillator_adomian(0, q, beta).scale(3.0)
+        lhs = oscillator_a(2, p + q.scale(3.0), beta)
+        rhs = oscillator_a(9, p, beta) + oscillator_a(0, q, beta).scale(3.0)
         for k in set(lhs.as_dict()) | set(rhs.as_dict()):
             assert lhs.coeff(k) == pytest.approx(rhs.coeff(k), rel=1e-15)
+        assert lhs == (p + q.scale(3.0)).scale(oscillator_kappa(beta))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 1.5])
     def test_beta_domain(self, beta):
         with pytest.raises(DomainError):
-            oscillator_adomian(0, TP.constant(1.0), beta)
+            IVPSpec.oscillator(beta)
 
 
 class TestOracle:

@@ -6,7 +6,6 @@ from ladm import (
     DomainError,
     NotTabulatedError,
     SinusoidSum,
-    eval_sinusoid,
     hbm,
     hbm_frequency,
     tabulated,
@@ -66,7 +65,7 @@ class TestTabulated:
 class TestEval:
     def test_zero_at_origin(self):
         for method in ("DTM", "HPM", "HBM"):
-            assert eval_sinusoid(tabulated(method, 0.1), 0.0) == 0.0
+            assert tabulated(method, 0.1).eval(0.0) == 0.0
 
     def test_single_term(self):
         s = SinusoidSum(terms=((1.0, 1.0),), method="HBM", beta=0.5)
@@ -74,7 +73,7 @@ class TestEval:
 
     def test_dtm_01_regression_at_1(self):
         # direct arithmetic from the printed coefficients, frozen
-        assert eval_sinusoid(tabulated("DTM", 0.1), 1.0) == pytest.approx(
+        assert tabulated("DTM", 0.1).eval(1.0) == pytest.approx(
             0.08430933003361425, rel=1e-12
         )
 

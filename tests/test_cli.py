@@ -167,6 +167,13 @@ class TestDimensionalCommand:
     def test_nonpositive_params_exit_3(self):
         assert main(["dimensional", "--beta", "0.1", "--omega0", "0", "--c", "1"]) == 3
 
+    @pytest.mark.parametrize("dt", ["0", "-0.5"])
+    def test_nonpositive_dt_exit_3(self, dt, capsys):
+        argv = ["dimensional", "--beta", "0.1", "--omega0", "1", "--c", "1", "--dt", dt]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "dt must be positive" in err
+
 
 class TestReportHelpers:
     def test_make_grid(self):

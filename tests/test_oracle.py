@@ -11,7 +11,6 @@ from ladm import (
     hbm_frequency,
     integrate,
     period,
-    sample_on_grid,
 )
 from ladm.oracle import _rhs
 
@@ -112,9 +111,9 @@ class TestSampling:
 
     def test_out_of_range(self, long_trajectories):
         with pytest.raises(DomainError):
-            sample_on_grid(long_trajectories[0.1], [101.0])
+            long_trajectories[0.1].sample_on_grid([101.0])
         with pytest.raises(DomainError):
-            sample_on_grid(long_trajectories[0.1], [-0.5])
+            long_trajectories[0.1].sample_on_grid([-0.5])
 
     def test_midpoint_interpolation_accuracy(self):
         # dense output between accepted steps agrees with a direct

@@ -20,8 +20,18 @@ BETAS = [0.1, 0.2, 0.5, 0.9]
 
 class TestIVPSpec:
     def test_oscillator_requires_zero_alpha(self):
+        spec = IVPSpec.oscillator(0.1)
+        assert (spec.alpha, spec.beta) == (0.0, 0.1)
+        assert solve_ivp(spec, 1).components[0].as_dict() == {1: 0.1}
+
+    def test_tag_string_rejected(self):
         with pytest.raises(DomainError):
-            IVPSpec(alpha=1.0, beta=0.1, nonlinearity="relativistic-oscillator")
+            IVPSpec(0.0, 0.1, "relativistic-oscillator")
+
+    def test_oscillator_is_frozen_linear(self):
+        nonlin = IVPSpec.oscillator(0.5).nonlinearity
+        kappa = oscillator_kappa(0.5)
+        assert [nonlin.deriv(2.0, j) for j in range(4)] == [2.0 * kappa, kappa, 0.0, 0.0]
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.2])
     def test_oscillator_beta_domain(self, beta):
@@ -70,11 +80,11 @@ class TestSolveIVP:
         recursed = solve_ivp(IVPSpec.oscillator(beta), 14)
         closed = oscillator_series(beta, 14)
         assert recursed.kappa == closed.kappa
-        for a, b in zip(recursed.components, closed.components):
-            (ka, ca), = a.terms
-            (kb, cb), = b.terms
-            assert ka == kb
-            assert ca == pytest.approx(cb, rel=1e-15)
+        # the generic loop reproduces the closed form bit for bit, so the
+        # oscillator-only diagnostics accept the recursed solution unchanged
+        assert recursed.components == closed.components
+        assert tail_bound(recursed, 3.0) == tail_bound(closed, 3.0)
+        assert residual(recursed, 1.0) == residual(closed, 1.0)
 
 
 class TestOscillatorSeries:
