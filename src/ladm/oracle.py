@@ -30,6 +30,8 @@ class OracleConfig:
     t_end: float = 100.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.rel_tol, self.abs_tol, self.t_end))):
+            raise DomainError("tolerances and t_end must be finite")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.t_end <= 0:
@@ -56,13 +58,18 @@ class OracleTrajectory:
         return self.samples[-1][0]
 
     def sample_on_grid(self, ts) -> list[float]:
-        """Dense-output positions at each requested time."""
-        out = []
-        for t in ts:
-            if not 0.0 <= t <= self.t_end:
-                raise DomainError(f"t={t} outside [0, {self.t_end}]")
-            out.append(float(self.interpolant(t)[0]))
-        return out
+        """Dense-output positions at each requested time, in one interpolant call.
+
+        The whole batch is rejected if any time is NaN or outside
+        [0, t_end]; the error names the first such time in input order.
+        """
+        ts = np.asarray(ts, dtype=float)
+        bad = np.flatnonzero(~((ts >= 0.0) & (ts <= self.t_end)))
+        if bad.size:
+            raise DomainError(f"t={ts[bad[0]]} outside [0, {self.t_end}]")
+        if ts.size == 0:
+            return []  # OdeSolution cannot evaluate an empty array
+        return self.interpolant(ts)[0].tolist()
 
 
 def _rhs(t, y):
@@ -113,7 +120,8 @@ def integrate(beta: float, cfg: OracleConfig | None = None) -> OracleTrajectory:
 def period(beta: float, cfg: OracleConfig | None = None, traj: OracleTrajectory | None = None) -> float:
     """Oscillation period from successive upward zero crossings of x(t).
 
-    Crossings are located by a sign scan on dense output refined by
+    Crossings are located by a sign scan of dense output, evaluated in one
+    vectorised call, and the first two brackets are refined by scalar
     bisection to 1e-12 in t.  Needs a horizon covering at least two
     crossings after t = 0.
     """
@@ -122,23 +130,21 @@ def period(beta: float, cfg: OracleConfig | None = None, traj: OracleTrajectory 
     x = lambda t: float(traj.interpolant(t)[0])
     t_end = traj.t_end
     ts = np.linspace(0.0, t_end, max(64, int(t_end * 40)))
-    crossings = []
-    for a, b in zip(ts[:-1], ts[1:]):
-        if a == 0.0:
-            continue  # x(0) = 0 is the starting crossing, not a detected one
-        if x(a) < 0.0 <= x(b):
-            lo, hi = a, b
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if x(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append(0.5 * (lo + hi))
-            if len(crossings) == 2:
-                break
-    if len(crossings) < 2:
+    xs = traj.interpolant(ts)[0]
+    # bracket i is [ts[i], ts[i+1]]; i = 0 holds the starting crossing x(0) = 0
+    brackets = np.flatnonzero((xs[1:-1] < 0.0) & (xs[2:] >= 0.0)) + 1
+    if brackets.size < 2:
         raise InsufficientHorizonError(
             f"fewer than two upward zero crossings in [0, {t_end}]; extend t_end"
         )
+    crossings = []
+    for i in brackets[:2]:
+        lo, hi = ts[i], ts[i + 1]
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if x(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
     return float(crossings[1] - crossings[0])

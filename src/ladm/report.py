@@ -71,9 +71,18 @@ class ComparisonReport:
 
 
 def make_grid(t_max: float, dt: float) -> tuple[float, ...]:
+    """Uniform grid 0, dt, 2*dt, ... that stops at t_max.
+
+    The point count is floor(t_max/dt + 1e-9) + 1, so a ratio within 1e-9
+    of an integer still reaches t_max (0.3/0.1 gives 4 points) and any
+    other ratio stops at the last multiple of dt below t_max.  Rounding in
+    i*dt can still put the last point a few ulps past t_max.
+    """
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise DomainError("t_max and dt must be finite")
     if t_max <= 0 or dt <= 0:
         raise DomainError("t_max and dt must be positive")
-    n = int(round(t_max / dt))
+    n = math.floor(t_max / dt + 1e-9)
     return tuple(i * dt for i in range(n + 1))
 
 
@@ -111,7 +120,8 @@ def build_report(
         "omega_hbm": approximants.hbm_frequency(beta),
     }
     if "oracle" in methods:
-        cfg = oracle_cfg or oracle.OracleConfig(t_end=max(t_max, 20.0))
+        # i*dt can round a few ulps past t_max; the horizon covers the grid
+        cfg = oracle_cfg or oracle.OracleConfig(t_end=max(t_max, grid[-1], 20.0))
         traj = oracle.integrate(beta, cfg)
         columns["oracle"] = tuple(traj.sample_on_grid(grid))
         for m in columns:

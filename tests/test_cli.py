@@ -1,9 +1,10 @@
 import json
+import math
 import xml.dom.minidom
 
 import pytest
 
-from ladm import ComparisonReport, build_report, sweep_csv
+from ladm import ComparisonReport, DomainError, build_report, sweep_csv
 from ladm.cli import main
 from ladm.report import make_grid
 
@@ -79,6 +80,22 @@ class TestCompareCommand:
         assert "omega_hbm" in rep.frequency_summary
         assert "oracle_period" in rep.frequency_summary
 
+    @pytest.mark.parametrize("t_max, dt", [("20.9", "0.6"), ("20.2", "0.1")])
+    def test_grid_stays_inside_oracle_horizon(self, t_max, dt, tmp_path):
+        # 20.9/0.6 used to round up to a point at 21.0; 20.2/0.1 ends at
+        # 20.200000000000003 through rounding in i*dt
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--beta", "0.1", "--t-max", t_max, "--dt", dt,
+                     "--methods", "ladm,oracle", "--out", str(out)]) == 0
+        assert float(out.read_text().splitlines()[-1].split(",")[0]) <= float(t_max) + 1e-9
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_exit_3(self, t_max, tmp_path, capsys):
+        assert main(["compare", "--beta", "0.1", "--t-max", t_max,
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
+
     def test_untabulated_method_exit_3(self, tmp_path):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
@@ -137,6 +154,13 @@ class TestPeriodCommand:
         assert main(["period", "--beta", "0.1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(6.295, abs=1e-2)
 
+    @pytest.mark.parametrize("t_end", ["inf", "nan"])
+    def test_non_finite_t_end_exit_3(self, t_end, capsys):
+        # both used to integrate forever
+        assert main(["period", "--beta", "0.3", "--t-end", t_end]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
+
 
 class TestDimensionalCommand:
     def test_identity_mapping(self, capsys):
@@ -178,6 +202,17 @@ class TestDimensionalCommand:
 class TestReportHelpers:
     def test_make_grid(self):
         assert make_grid(1.0, 0.5) == (0.0, 0.5, 1.0)
+
+    def test_make_grid_never_rounds_past_t_max(self):
+        assert make_grid(1.0, 0.6) == (0.0, 0.6)
+        assert len(make_grid(0.3, 0.1)) == 4  # 0.3/0.1 = 2.9999999999999996
+
+    @pytest.mark.parametrize(
+        "t_max, dt", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_make_grid_rejects_non_finite(self, t_max, dt):
+        with pytest.raises(DomainError, match="finite"):
+            make_grid(t_max, dt)
 
     def test_sweep_csv_validation(self):
         import ladm.errors as errors

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladm import (
     DomainError,
@@ -99,6 +101,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             OracleConfig(t_end=-1.0)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "t_end"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            OracleConfig(**{field: value})
+
 
 class TestSampling:
     def test_origin(self, long_trajectories):
@@ -114,6 +122,35 @@ class TestSampling:
             long_trajectories[0.1].sample_on_grid([101.0])
         with pytest.raises(DomainError):
             long_trajectories[0.1].sample_on_grid([-0.5])
+
+    @pytest.mark.parametrize(
+        "ts, first",
+        [
+            ([1.0, math.nan, -0.5], "nan"),
+            ([1.0, -0.5, math.nan], "-0.5"),
+            ([2.0, 101.0, -0.5], "101.0"),
+        ],
+    )
+    def test_rejects_batch_naming_first_offender(self, long_trajectories, ts, first):
+        with pytest.raises(DomainError, match=rf"^t={first} outside \[0, 100\.0\]$"):
+            long_trajectories[0.1].sample_on_grid(ts)
+
+    def test_empty(self, long_trajectories):
+        assert long_trajectories[0.1].sample_on_grid([]) == []
+
+    @pytest.mark.parametrize("kind", ["unsorted", "step_times"])
+    def test_matches_scalar_interpolant_bit_for_bit(self, long_trajectories, kind):
+        traj = long_trajectories[0.5]
+        steps = [t for t, _, _ in traj.samples]  # segment boundaries
+        if kind == "unsorted":
+            rng = np.random.default_rng(7)
+            ts = rng.permutation(np.concatenate([rng.uniform(0.0, 100.0, 997), steps[::10]]))
+        else:
+            ts = steps
+        expected = [float(traj.interpolant(t)[0]) for t in ts]
+        got = traj.sample_on_grid(ts)
+        assert all(type(x) is float for x in got)
+        assert got == expected
 
     def test_midpoint_interpolation_accuracy(self):
         # dense output between accepted steps agrees with a direct
@@ -144,3 +181,53 @@ class TestPeriod:
     def test_insufficient_horizon(self):
         with pytest.raises(InsufficientHorizonError):
             period(0.1, OracleConfig(t_end=3.0))
+
+    @pytest.mark.parametrize("t_end", [20.0, 30.0])
+    @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
+    def test_matches_scalar_scan_bit_for_bit(self, beta, t_end):
+        traj = integrate(beta, OracleConfig(t_end=t_end))
+        assert period(beta, traj=traj) == _scalar_scan_period(traj)
+
+    @settings(max_examples=15, deadline=None)
+    @given(beta=st.floats(min_value=0.05, max_value=0.9))
+    def test_matches_energy_quadrature(self, beta):
+        # Independent oracle: R. E. Mickens, J. Sound Vib. 212 (1998) 905-908.
+        assert period(beta, OracleConfig(t_end=30.0)) == pytest.approx(
+            _quadrature_period(beta), rel=1e-9
+        )
+
+
+def _scalar_scan_period(traj):
+    """Reference: one scalar dense-output call per scan point and per bisection step."""
+    x = lambda t: float(traj.interpolant(t)[0])
+    ts = np.linspace(0.0, traj.t_end, max(64, int(traj.t_end * 40)))
+    crossings = []
+    for a, b in zip(ts[:-1], ts[1:]):
+        if a == 0.0:
+            continue
+        if x(a) < 0.0 <= x(b):
+            lo, hi = a, b
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if x(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            crossings.append(0.5 * (lo + hi))
+            if len(crossings) == 2:
+                break
+    return float(crossings[1] - crossings[0])
+
+
+def _quadrature_period(beta):
+    """Period from energy conservation, T = 4 int_0^{pi/2} g sqrt(2/(g+1)) dtheta.
+
+    g = 1 + (A^2/2) cos^2(theta) with amplitude A^2 = 2((1-beta^2)^(-1/2) - 1);
+    the substitution x = A sin(theta) leaves a smooth integrand, so 64-node
+    Gauss-Legendre is exact to rounding.
+    """
+    a2 = 2.0 * (1.0 / math.sqrt(1.0 - beta * beta) - 1.0)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.25 * math.pi * (nodes + 1.0)  # [-1, 1] -> [0, pi/2]
+    g = 1.0 + 0.5 * a2 * np.cos(theta) ** 2
+    return float(4.0 * 0.25 * math.pi * np.sum(weights * g * np.sqrt(2.0 / (g + 1.0))))
