@@ -11,7 +11,6 @@ from .adomian import (
     AnalyticNonlinearity,
     adomian_polynomials,
     lambda_expansion_oracle,
-    oscillator_kappa,
 )
 from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
 from .errors import (
@@ -26,9 +25,9 @@ from .oracle import OracleConfig, OracleTrajectory, energy, integrate, period
 from .report import ComparisonReport, build_report, sweep_csv
 from .series import TimePolynomial
 from .solver import (
-    OSCILLATOR,
     IVPSpec,
     SeriesSolution,
+    oscillator_kappa,
     oscillator_series,
     residual,
     series_frequency,
@@ -48,7 +47,6 @@ __all__ = [
     "InsufficientHorizonError",
     "LadmError",
     "NotTabulatedError",
-    "OSCILLATOR",
     "OracleConfig",
     "OracleError",
     "OracleTrajectory",

@@ -9,10 +9,8 @@ C(0, 0) = 1, C(0, n) = 0 for n >= 1 and
     C(k, n) = (1/n) sum_{j=0}^{n-k} (j+1) x_{j+1} C(k-1, n-1-j).
 
 For orders <= 4 this reproduces the classical closed forms (A_0 = N(x_0),
-A_1 = x_1 N'(x_0), ...).  The relativistic oscillator's frozen-coefficient
-sequence A_m = kappa x_m is the case N(x) = kappa x, kappa = (1 - beta^2)^(3/2)
-(``oscillator_kappa``); it freezes the velocity factor and is not the
-Adomian expansion of the full velocity-dependent nonlinearity.
+A_1 = x_1 N'(x_0), ...).  The relativistic oscillator of ``ladm.solver`` is
+the linear case N(x) = kappa x, whose sequence is A_m = kappa x_m.
 
 ``lambda_expansion_oracle`` is an independent finite-difference check of
 the generic construction, kept deliberately free of any series algebra.
@@ -143,13 +141,6 @@ def adomian_polynomials(
                 a_n = a_n + g[k].mul_truncated(c[k][n], max_degree)
         polys.append(a_n)
     return AdomianSequence(polys=tuple(polys))
-
-
-def oscillator_kappa(beta: float) -> float:
-    """(1 - beta^2)^(3/2), the frozen velocity factor; requires 0 < beta < 1."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    return (1.0 - beta * beta) ** 1.5
 
 
 # Central finite-difference stencils for d^n/dh^n, O(h^4) accurate.

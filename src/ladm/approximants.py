@@ -12,23 +12,14 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NotTabulatedError
 
-HBM = "HBM"
-DTM = "DTM"
-HPM = "HPM"
-METHODS = (HBM, DTM, HPM)
-
 
 @dataclass(frozen=True)
 class SinusoidSum:
     """x(t) = sum_j a_j sin(w_j t); odd in t, zero at t = 0."""
 
     terms: tuple[tuple[float, float], ...]  # (amplitude, angular frequency)
-    method: str
-    beta: float
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
         if any(w <= 0 for _, w in self.terms):
             raise ValueError("angular frequencies must be positive")
 
@@ -56,21 +47,19 @@ def hbm(beta: float) -> SinusoidSum:
     a1 = (beta / w) * (3.0 * b2 * b2 + 8.0 * b2 + 64.0) / 64.0
     a3 = -(beta**3 / (24.0 * w)) * (3.0 * b2 + 128.0) / 128.0
     a5 = 3.0 * beta**5 / (640.0 * w)
-    return SinusoidSum(
-        terms=((a1, w), (a3, 3.0 * w), (a5, 5.0 * w)), method=HBM, beta=beta
-    )
+    return SinusoidSum(terms=((a1, w), (a3, 3.0 * w), (a5, 5.0 * w)))
 
 
 # Printed coefficients transcribed verbatim from the literature.  The third
 # DTM frequency at beta=0.1 (4.841) breaks the odd-harmonic pattern of the
 # other entries; it is kept as printed.
 _TABULATED: dict[tuple[str, float], tuple[tuple[float, float], ...]] = {
-    (DTM, 0.1): ((0.10033, 0.998), (-0.000047097, 2.997), (0.00000008254, 4.841)),
-    (HPM, 0.1): ((0.10010, 0.999), (-0.00004689, 2.997), (0.00000005062, 4.995)),
-    (HBM, 0.1): ((0.10025, 0.998), (-0.00004173, 2.996), (0.00000004369, 4.944)),
-    (DTM, 0.2): ((0.203, 0.992), (-0.0003695, 3.051), (0.000009257, 4.29)),
-    (HPM, 0.2): ((0.201, 0.995), (-0.0003768, 2.985), (0.000001652, 4.974)),
-    (HBM, 0.2): ((0.202, 0.995), (-0.0003354, 2.985), (0.000001508, 4.974)),
+    ("DTM", 0.1): ((0.10033, 0.998), (-0.000047097, 2.997), (0.00000008254, 4.841)),
+    ("HPM", 0.1): ((0.10010, 0.999), (-0.00004689, 2.997), (0.00000005062, 4.995)),
+    ("HBM", 0.1): ((0.10025, 0.998), (-0.00004173, 2.996), (0.00000004369, 4.944)),
+    ("DTM", 0.2): ((0.203, 0.992), (-0.0003695, 3.051), (0.000009257, 4.29)),
+    ("HPM", 0.2): ((0.201, 0.995), (-0.0003768, 2.985), (0.000001652, 4.974)),
+    ("HBM", 0.2): ((0.202, 0.995), (-0.0003354, 2.985), (0.000001508, 4.974)),
 }
 
 
@@ -82,4 +71,4 @@ def tabulated(method: str, beta: float) -> SinusoidSum:
             f"no tabulated {method} approximant at beta={beta}; "
             f"available: {sorted(_TABULATED)}"
         )
-    return SinusoidSum(terms=_TABULATED[key], method=key[0], beta=beta)
+    return SinusoidSum(terms=_TABULATED[key])

@@ -1,13 +1,15 @@
 """Benchmark CLI for the oscillator series solver.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 domain / tabulation
-error, 4 oracle failure.
+Exit codes: 0 success, 1 file error (a path that cannot be read or
+written), 2 usage error (argparse), 3 domain / tabulation error or a
+malformed JSON report, 4 oracle failure; the reason goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import oracle, report, svgplot
@@ -59,29 +61,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.infile) as f:
+    with open(args.infile, "rb") as f:  # bytes: bad encodings are malformed JSON
         rep = report.ComparisonReport.from_json(f.read())
     xs = list(rep.grid)
     series = {m: (xs, list(rep.columns[m])) for m in rep.method_names()}
     svg = svgplot.render_lines(series, title=f"Oscillator comparison, beta={rep.beta}")
-    try:
-        with open(args.out, "w") as f:
-            f.write(svg)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "w") as f:
+        f.write(svg)
     return 0
 
 
 def cmd_period(args) -> int:
-    cfg = oracle.OracleConfig(t_end=args.t_end)
-    print(_fmt(oracle.period(args.beta, cfg)))
+    traj = oracle.integrate(args.beta, oracle.OracleConfig(t_end=args.t_end))
+    print(_fmt(oracle.period(traj)))
     return 0
 
 
 def cmd_dimensional(args) -> int:
-    if args.omega0 <= 0 or args.c <= 0:
-        raise DomainError("omega0 and c must be positive")
+    if not (0 < args.omega0 < math.inf and 0 < args.c < math.inf):
+        raise DomainError("omega0 and c must be positive and finite")
     grid = report.make_grid(args.t_max, args.dt)
     p = oscillator_series(args.beta, args.terms).full_sum()
     print("t,x,t_dimensional,x_dimensional")
@@ -155,6 +153,9 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from .errors import DomainError, InsufficientHorizonError, OracleError
 
 _MONITOR_SAMPLES = 2048  # uniform refinement used for the energy/speed monitor
+MAX_T_END = 1e4  # at beta 0.5 this horizon takes ~20 s and ~200 MB on a 2-core host
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,10 @@ class OracleConfig:
     t_end: float = 100.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.rel_tol, self.abs_tol, self.t_end))):
-            raise DomainError("tolerances and t_end must be finite")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.t_end <= 0:
-            raise DomainError("t_end must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be finite and positive")
+        if not 0 < self.t_end <= MAX_T_END:
+            raise DomainError(f"oracle horizon t_end must be finite and in (0, {MAX_T_END:g}]")
 
 
 def energy(x: float, v: float) -> float:
@@ -47,8 +46,6 @@ def energy(x: float, v: float) -> float:
 
 @dataclass(frozen=True)
 class OracleTrajectory:
-    beta: float
-    config: OracleConfig
     samples: tuple[tuple[float, float, float], ...]  # (t, x, v) at accepted steps
     interpolant: object = field(repr=False)  # scipy OdeSolution
     energy_drift: float = 0.0
@@ -108,25 +105,17 @@ def integrate(beta: float, cfg: OracleConfig | None = None) -> OracleTrajectory:
     drift = float(np.max(np.abs(e - energy(0.0, beta))))
 
     samples = tuple((float(t), float(x), float(v)) for t, x, v in zip(res.t, xs, vs))
-    return OracleTrajectory(
-        beta=beta,
-        config=cfg,
-        samples=samples,
-        interpolant=res.sol,
-        energy_drift=drift,
-    )
+    return OracleTrajectory(samples=samples, interpolant=res.sol, energy_drift=drift)
 
 
-def period(beta: float, cfg: OracleConfig | None = None, traj: OracleTrajectory | None = None) -> float:
-    """Oscillation period from successive upward zero crossings of x(t).
+def period(traj: OracleTrajectory) -> float:
+    """Oscillation period of ``traj`` from successive upward zero crossings of x(t).
 
     Crossings are located by a sign scan of dense output, evaluated in one
     vectorised call, and the first two brackets are refined by scalar
     bisection to 1e-12 in t.  Needs a horizon covering at least two
     crossings after t = 0.
     """
-    if traj is None:
-        traj = integrate(beta, cfg)
     x = lambda t: float(traj.interpolant(t)[0])
     t_end = traj.t_end
     ts = np.linspace(0.0, t_end, max(64, int(t_end * 40)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import approximants, oracle
 from .errors import DomainError
@@ -16,6 +17,7 @@ from .solver import oscillator_series, series_frequency
 
 ALL_METHODS = ("ladm", "hbm", "dtm", "hpm", "oracle")
 DEFAULT_N_TERMS = 14
+MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -27,24 +29,36 @@ class ComparisonReport:
     beta: float
     grid: tuple[float, ...]
     columns: dict[str, tuple[float, ...]]  # method -> x values on grid
-    errors: dict[str, tuple[float, float]]  # method -> (max_abs, rms) vs oracle
     frequency_summary: dict[str, float]
 
     def method_names(self) -> list[str]:
         return [m for m in ALL_METHODS if m in self.columns]
 
+    @cached_property
+    def _abs_errors(self) -> dict[str, list[float]]:
+        """method -> |x - x_oracle| on the grid; empty without an oracle column."""
+        ref = self.columns.get("oracle")
+        others = [m for m in self.columns if m != "oracle"] if ref else []
+        return {m: [abs(a - b) for a, b in zip(self.columns[m], ref)] for m in others}
+
+    @cached_property
+    def errors(self) -> dict[str, tuple[float, float]]:
+        """method -> (max_abs, rms) against the oracle column."""
+        return {
+            m: (max(d), math.sqrt(sum(e * e for e in d) / len(d)))
+            for m, d in self._abs_errors.items()
+        }
+
     # -- serialization ------------------------------------------------
 
     def to_csv(self) -> str:
         methods = self.method_names()
-        err_methods = [m for m in methods if m in self.errors]
+        err_methods = [m for m in methods if m in self._abs_errors]
         header = ["t"] + methods + [f"err_{m}" for m in err_methods]
         lines = [",".join(header)]
-        oracle_col = self.columns.get("oracle")
         for i, t in enumerate(self.grid):
             row = [_fmt(t)] + [_fmt(self.columns[m][i]) for m in methods]
-            for m in err_methods:
-                row.append(_fmt(abs(self.columns[m][i] - oracle_col[i])))
+            row += [_fmt(self._abs_errors[m][i]) for m in err_methods]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -59,15 +73,18 @@ class ComparisonReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "ComparisonReport":
-        d = json.loads(text)
-        return cls(
-            beta=d["beta"],
-            grid=tuple(d["grid"]),
-            columns={m: tuple(v) for m, v in d["columns"].items()},
-            errors={m: (e["max_abs"], e["rms"]) for m, e in d["errors"].items()},
-            frequency_summary=d["frequency_summary"],
-        )
+    def from_json(cls, text: str | bytes) -> "ComparisonReport":
+        """Parse ``to_json`` output; the stored errors are recomputed, not read."""
+        try:
+            d = json.loads(text)
+            grid = tuple(map(float, d["grid"]))
+            columns = {m: tuple(map(float, v)) for m, v in d["columns"].items()}
+            bad = [m for m, v in columns.items() if m not in ALL_METHODS or len(v) != len(grid)]
+            if bad or not (grid and columns):
+                raise ValueError(f"need a grid and method columns of its length, got {bad}")
+            return cls(beta=d["beta"], grid=grid, columns=columns, frequency_summary=d["frequency_summary"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DomainError(f"not a comparison report: {exc!r}") from exc
 
 
 def make_grid(t_max: float, dt: float) -> tuple[float, ...]:
@@ -76,14 +93,17 @@ def make_grid(t_max: float, dt: float) -> tuple[float, ...]:
     The point count is floor(t_max/dt + 1e-9) + 1, so a ratio within 1e-9
     of an integer still reaches t_max (0.3/0.1 gives 4 points) and any
     other ratio stops at the last multiple of dt below t_max.  Rounding in
-    i*dt can still put the last point a few ulps past t_max.
+    i*dt can still put the last point a few ulps past t_max.  Grids of more
+    than MAX_GRID_POINTS points are refused before any is built.
     """
     if not (math.isfinite(t_max) and math.isfinite(dt)):
         raise DomainError("t_max and dt must be finite")
     if t_max <= 0 or dt <= 0:
         raise DomainError("t_max and dt must be positive")
-    n = math.floor(t_max / dt + 1e-9)
-    return tuple(i * dt for i in range(n + 1))
+    ratio = t_max / dt + 1e-9
+    if not ratio < MAX_GRID_POINTS:
+        raise DomainError(f"t_max/dt = {ratio:.3g} exceeds {MAX_GRID_POINTS} grid points")
+    return tuple(i * dt for i in range(math.floor(ratio) + 1))
 
 
 def build_report(
@@ -92,7 +112,6 @@ def build_report(
     dt: float = 0.5,
     methods: tuple[str, ...] = ALL_METHODS,
     n_terms: int = DEFAULT_N_TERMS,
-    oracle_cfg: oracle.OracleConfig | None = None,
 ) -> ComparisonReport:
     """Evaluate the requested methods on a uniform grid against the oracle."""
     methods = tuple(m.lower() for m in methods)
@@ -113,40 +132,26 @@ def build_report(
             s = approximants.tabulated(m.upper(), beta)
             columns[m] = tuple(s.eval(t) for t in grid)
 
-    traj = None
-    errors: dict[str, tuple[float, float]] = {}
     freq: dict[str, float] = {
         "omega_series": series_frequency(beta),
         "omega_hbm": approximants.hbm_frequency(beta),
     }
     if "oracle" in methods:
         # i*dt can round a few ulps past t_max; the horizon covers the grid
-        cfg = oracle_cfg or oracle.OracleConfig(t_end=max(t_max, grid[-1], 20.0))
+        cfg = oracle.OracleConfig(t_end=max(t_max, grid[-1], 20.0))
         traj = oracle.integrate(beta, cfg)
         columns["oracle"] = tuple(traj.sample_on_grid(grid))
-        for m in columns:
-            if m == "oracle":
-                continue
-            diffs = [abs(a - b) for a, b in zip(columns[m], columns["oracle"])]
-            rms = math.sqrt(sum(d * d for d in diffs) / len(diffs))
-            errors[m] = (max(diffs), rms)
-        freq["oracle_period"] = oracle.period(beta, traj=traj)
+        freq["oracle_period"] = oracle.period(traj)
         freq["omega_oracle"] = 2.0 * math.pi / freq["oracle_period"]
 
-    return ComparisonReport(
-        beta=beta, grid=grid, columns=columns, errors=errors, frequency_summary=freq
-    )
+    return ComparisonReport(beta=beta, grid=grid, columns=columns, frequency_summary=freq)
 
 
-def sweep_csv(
-    beta_min: float,
-    beta_max: float,
-    steps: int,
-    t_max: float = 5.0,
-    dt: float = 0.1,
-    n_terms: int = DEFAULT_N_TERMS,
-) -> str:
-    """Per-beta accuracy summary, one CSV row per beta."""
+def sweep_csv(beta_min: float, beta_max: float, steps: int) -> str:
+    """Per-beta accuracy summary, one CSV row per beta.
+
+    Each row comes from a ladm/oracle report on the grid t_max = 5, dt = 0.1.
+    """
     if not 0.0 < beta_min < beta_max < 1.0:
         raise DomainError("require 0 < beta_min < beta_max < 1")
     if steps < 2:
@@ -154,19 +159,8 @@ def sweep_csv(
     lines = ["beta,max_abs_err_ladm,omega_series,omega_hbm,oracle_period"]
     for i in range(steps):
         beta = beta_min + (beta_max - beta_min) * i / (steps - 1)
-        rep = build_report(
-            beta, t_max=t_max, dt=dt, methods=("ladm", "oracle"), n_terms=n_terms
-        )
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    beta,
-                    rep.errors["ladm"][0],
-                    rep.frequency_summary["omega_series"],
-                    rep.frequency_summary["omega_hbm"],
-                    rep.frequency_summary["oracle_period"],
-                )
-            )
-        )
+        rep = build_report(beta, t_max=5.0, dt=0.1, methods=("ladm", "oracle"))
+        f = rep.frequency_summary
+        row = (beta, rep.errors["ladm"][0], f["omega_series"], f["omega_hbm"], f["oracle_period"])
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"

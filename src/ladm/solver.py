@@ -15,7 +15,9 @@ collapses to A_m = kappa x_m, which yields the closed component formula
     x_n = beta (-kappa)^n t^(2n+1) / (2n+1)!
 
 ``oscillator_series`` builds that directly; ``solve_ivp`` runs the
-recurrence; the two must agree term for term.
+recurrence; the two must agree term for term.  A solution carries only its
+components: the oscillator diagnostics ``tail_bound`` and ``residual`` take
+beta and the term count, the only data they depend on.
 """
 
 from __future__ import annotations
@@ -24,11 +26,16 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .adomian import AnalyticNonlinearity, adomian_polynomials, oscillator_kappa
+from .adomian import AnalyticNonlinearity, adomian_polynomials
 from .errors import DomainError
 from .series import TimePolynomial
 
-OSCILLATOR = "relativistic-oscillator"
+
+def oscillator_kappa(beta: float) -> float:
+    """(1 - beta^2)^(3/2), the frozen velocity factor; requires 0 < beta < 1."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    return (1.0 - beta * beta) ** 1.5
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class IVPSpec:
         def d(u: float, j: int) -> float:
             return kappa * u if j == 0 else (kappa if j == 1 else 0.0)
 
-        return cls(0.0, beta, AnalyticNonlinearity(name=OSCILLATOR, deriv_fn=d))
+        return cls(0.0, beta, AnalyticNonlinearity(name="relativistic-oscillator", deriv_fn=d))
 
 
 @dataclass(frozen=True)
@@ -59,17 +66,10 @@ class SeriesSolution:
     """Ordered components x_0..x_{n_terms-1} of a series solution."""
 
     components: tuple[TimePolynomial, ...]
-    beta: float
-    n_terms: int
-    kappa: float | None = None  # set for oscillator solutions only
-
-    def __post_init__(self) -> None:
-        if self.n_terms != len(self.components):
-            raise ValueError("n_terms must equal len(components)")
 
     @property
-    def is_oscillator(self) -> bool:
-        return self.kappa is not None
+    def n_terms(self) -> int:
+        return len(self.components)
 
     def partial_sum(self, k: int) -> TimePolynomial:
         """Sum of components 0..k (inclusive)."""
@@ -98,11 +98,7 @@ def solve_ivp(spec: IVPSpec, n_terms: int, max_degree: int | None = None) -> Ser
     for n in range(n_terms - 1):
         a_n = adomian_polynomials(spec.nonlinearity, components, n, max_degree)[n]
         components.append(-a_n.double_integrate().truncate(max_degree + 2))
-    # N'(0) of the frozen linear nonlinearity is the oscillator's kappa
-    kappa = spec.nonlinearity.deriv(0.0, 1) if spec.nonlinearity.name == OSCILLATOR else None
-    return SeriesSolution(
-        components=tuple(components), beta=spec.beta, n_terms=n_terms, kappa=kappa
-    )
+    return SeriesSolution(components=tuple(components))
 
 
 def oscillator_series(beta: float, n_terms: int) -> SeriesSolution:
@@ -115,9 +111,7 @@ def oscillator_series(beta: float, n_terms: int) -> SeriesSolution:
     for n in range(n_terms):
         components.append(TimePolynomial.monomial(2 * n + 1, coeff))
         coeff *= -kappa
-    return SeriesSolution(
-        components=tuple(components), beta=beta, n_terms=n_terms, kappa=kappa
-    )
+    return SeriesSolution(components=tuple(components))
 
 
 def series_frequency(beta: float) -> float:
@@ -125,8 +119,8 @@ def series_frequency(beta: float) -> float:
     return math.sqrt(oscillator_kappa(beta))
 
 
-def tail_bound(sol: SeriesSolution, t: float) -> float:
-    """Alternating-series remainder bound for a truncated oscillator series.
+def tail_bound(beta: float, n_terms: int, t: float) -> float:
+    """Alternating-series remainder bound for the n_terms oscillator series.
 
     Returns beta * kappa^n_terms * |t|^(2 n_terms + 1) / (2 n_terms + 1)!,
     the magnitude of the first omitted component.  It bounds the true
@@ -134,10 +128,10 @@ def tail_bound(sol: SeriesSolution, t: float) -> float:
     while the omitted terms still decrease; outside that range a warning
     is emitted and the returned value is not a rigorous bound.
     """
-    if not sol.is_oscillator:
-        raise DomainError("tail_bound applies to oscillator solutions only")
-    n = sol.n_terms
-    if sol.kappa * t * t >= (2 * n + 2) * (2 * n + 3):
+    kappa = oscillator_kappa(beta)
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
+    if kappa * t * t >= (2 * n_terms + 2) * (2 * n_terms + 3):
         warnings.warn(
             f"alternating-series condition fails at t={t}; bound not rigorous",
             stacklevel=2,
@@ -145,21 +139,19 @@ def tail_bound(sol: SeriesSolution, t: float) -> float:
     # accumulate |t|^(2n+1)/(2n+1)! by ratios to avoid overflow
     power = 1.0
     at = abs(t)
-    for j in range(1, 2 * n + 2):
+    for j in range(1, 2 * n_terms + 2):
         power *= at / j
-    return sol.beta * sol.kappa**n * power
+    return beta * kappa**n_terms * power
 
 
-def residual(sol: SeriesSolution, t: float) -> float:
-    """|x'' + (1 - x'^2)^(3/2) x| for the full partial sum at time t.
+def residual(beta: float, n_terms: int, t: float) -> float:
+    """|x'' + (1 - x'^2)^(3/2) x| for the n_terms oscillator series at time t.
 
     Measured against the exact nonlinear oscillator equation, not the
     frozen-coefficient linearization the recurrence actually solves, so
     this reports the honest defect of the truncated series.
     """
-    if not sol.is_oscillator:
-        raise DomainError("residual applies to oscillator solutions only")
-    p = sol.full_sum()
+    p = oscillator_series(beta, n_terms).full_sum()
     dp = p.derivative()
     x = p.eval(t)
     v = dp.eval(t)

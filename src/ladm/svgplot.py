@@ -26,10 +26,12 @@ def render_lines(
     """Build an SVG document; series maps label -> (xs, ys)."""
     all_x = [x for xs, _ in series.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+
+    def span(vals: list[float]) -> tuple[float, float]:
+        lo, hi = min(vals), max(vals)
+        return (lo - 1.0, hi + 1.0) if hi == lo else (lo, hi)
+
+    (x_lo, x_hi), (y_lo, y_hi) = span(all_x), span(all_y)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -68,7 +68,7 @@ class TestEval:
             assert tabulated(method, 0.1).eval(0.0) == 0.0
 
     def test_single_term(self):
-        s = SinusoidSum(terms=((1.0, 1.0),), method="HBM", beta=0.5)
+        s = SinusoidSum(terms=((1.0, 1.0),))
         assert s.eval(math.pi / 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_dtm_01_regression_at_1(self):
@@ -110,13 +110,14 @@ class TestConsistency:
         grid = [0.01 * i for i in range(1001)]
         budget = {0.1: 5e-3, 0.2: 7e-3}
         for beta in (0.1, 0.2):
-            sums = [tabulated(m, beta) for m in ("DTM", "HPM", "HBM")]
-            for i, s1 in enumerate(sums):
-                for s2 in sums[i + 1 :]:
+            methods = ("DTM", "HPM", "HBM")
+            for i, m1 in enumerate(methods):
+                for m2 in methods[i + 1 :]:
+                    s1, s2 = tabulated(m1, beta), tabulated(m2, beta)
                     worst = max(abs(s1.eval(t) - s2.eval(t)) for t in grid)
-                    assert worst <= budget[beta], (beta, s1.method, s2.method, worst)
+                    assert worst <= budget[beta], (beta, m1, m2, worst)
 
 
 def test_nonpositive_frequency_rejected():
     with pytest.raises(ValueError):
-        SinusoidSum(terms=((1.0, -1.0),), method="HBM", beta=0.5)
+        SinusoidSum(terms=((1.0, -1.0),))

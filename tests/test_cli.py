@@ -3,10 +3,14 @@ import math
 import xml.dom.minidom
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ladm import ComparisonReport, DomainError, build_report, sweep_csv
 from ladm.cli import main
-from ladm.report import make_grid
+from ladm.report import MAX_GRID_POINTS, make_grid
+
+EXIT_CODES = {0, 1, 2, 3, 4}  # as documented in ladm.cli
 
 
 class TestSeriesCommand:
@@ -96,6 +100,12 @@ class TestCompareCommand:
         out, err = capsys.readouterr()
         assert out == "" and "finite" in err
 
+    def test_huge_horizon_exit_3(self, tmp_path, capsys):
+        # a two-point grid whose oracle horizon used to integrate without end
+        assert main(["compare", "--beta", "0.1", "--t-max", "1e300", "--dt", "1e300",
+                     "--methods", "hbm,oracle", "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_untabulated_method_exit_3(self, tmp_path):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
@@ -142,6 +152,14 @@ class TestPlotCommand:
         out = tmp_path / "fig.svg"
         main(["plot", "--in", str(report_json), "--out", str(out)])
         assert "beta=0.1" in out.read_text()
+
+    def test_single_point_grid_renders(self, tmp_path):
+        # t_max < dt gives the grid (0,); its plot used to divide by zero
+        rep_json, svg = tmp_path / "r.json", tmp_path / "fig.svg"
+        assert main(["compare", "--beta", "0.1", "--t-max", "0.1", "--dt", "0.5",
+                     "--out", str(tmp_path / "r.csv"), "--json", str(rep_json)]) == 0
+        assert main(["plot", "--in", str(rep_json), "--out", str(svg)]) == 0
+        assert len(xml.dom.minidom.parse(str(svg)).getElementsByTagName("polyline")) == 5
 
     def test_unwritable_output_fails_nonzero(self, report_json, tmp_path):
         code = main(["plot", "--in", str(report_json),
@@ -191,6 +209,15 @@ class TestDimensionalCommand:
     def test_nonpositive_params_exit_3(self):
         assert main(["dimensional", "--beta", "0.1", "--omega0", "0", "--c", "1"]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--omega0", "--c"])
+    def test_non_finite_params_exit_3(self, flag, value, capsys):
+        # both used to print nan/inf columns with exit 0
+        argv = ["dimensional", "--beta", "0.1", "--omega0", "1", "--c", "1", flag, value]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
+
     @pytest.mark.parametrize("dt", ["0", "-0.5"])
     def test_nonpositive_dt_exit_3(self, dt, capsys):
         argv = ["dimensional", "--beta", "0.1", "--omega0", "1", "--c", "1", "--dt", dt]
@@ -214,6 +241,29 @@ class TestReportHelpers:
         with pytest.raises(DomainError, match="finite"):
             make_grid(t_max, dt)
 
+    def test_make_grid_caps_point_count(self):
+        with pytest.raises(DomainError, match="grid points"):
+            make_grid(1e9, 1e-9)  # 1e18 points, refused before any is built
+        with pytest.raises(DomainError, match="grid points"):
+            make_grid(1e300, 1e-300)  # the ratio overflows to inf
+        with pytest.raises(DomainError, match="grid points"):
+            make_grid(float(MAX_GRID_POINTS), 1.0)
+        assert len(make_grid(MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+
+    def test_report_round_trip(self):
+        rep = build_report(0.1, t_max=3.0, dt=0.5)
+        back = ComparisonReport.from_json(rep.to_json())
+        assert set(rep.errors) == {"ladm", "hbm", "dtm", "hpm"}
+        assert back.to_json() == rep.to_json()
+        assert back.to_csv() == rep.to_csv()
+        assert back.errors == rep.errors
+
+    def test_from_json_recomputes_errors(self):
+        rep = build_report(0.1, t_max=3.0, dt=0.5, methods=("ladm", "oracle"))
+        payload = json.loads(rep.to_json())
+        payload["errors"]["ladm"]["max_abs"] = 1.0
+        assert ComparisonReport.from_json(json.dumps(payload)).errors == rep.errors
+
     def test_sweep_csv_validation(self):
         import ladm.errors as errors
 
@@ -221,3 +271,92 @@ class TestReportHelpers:
             sweep_csv(0.2, 0.1, 5)
         with pytest.raises(errors.DomainError):
             sweep_csv(0.1, 0.2, 1)
+
+
+class TestFileErrors:
+    REPORT = "{d}/rep.json"
+
+    @pytest.mark.parametrize(
+        "argv, content, code",
+        [
+            (["compare", "--beta", "0.1", "--t-max", "1", "--out", "{d}/nodir/x.csv"], None, 1),
+            (["sweep", "--beta-min", "0.1", "--beta-max", "0.2", "--steps", "2",
+              "--out", "{d}/nodir/x.csv"], None, 1),
+            (["plot", "--in", "{d}/missing.json", "--out", "{d}/fig.svg"], None, 1),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "columns": {}, "frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"], b"not json", 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"], b"\x80 not utf-8", 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": ["a", "b"]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": [0]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"xyz": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [], "columns": {}, "frequency_summary": {}}', 3),
+        ],
+        ids=["compare-out-dir", "sweep-out-dir", "plot-in-missing", "plot-no-grid",
+             "plot-not-json", "plot-not-utf8", "plot-non-numeric", "plot-short-column",
+             "plot-unknown-method", "plot-empty"],
+    )
+    def test_exit_code_and_message(self, argv, content, code, tmp_path, capsys):
+        # the first four used to exit 1 with a traceback
+        if content is not None:
+            (tmp_path / "rep.json").write_bytes(content)
+        assert main([a.format(d=tmp_path) for a in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert not (tmp_path / "fig.svg").exists()
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e300]
+
+
+def _floats(lo, hi):
+    """Special values (non-finite, zero, negative, extreme) or a finite draw."""
+    return st.one_of(st.sampled_from(_SPECIAL), st.floats(lo, hi))
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+class TestExitCodesProperty:
+    """Every input ends in a documented exit code, never an uncaught exception.
+
+    Finite draws keep t_max at most 25 and dt at least 0.05, so each
+    example stays small; the special values cover the rest of the range
+    through the domain checks.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=_floats(-0.5, 1.5), terms=st.integers(-3, 30),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_series(self, beta, terms, fmt):
+        argv = ["series", f"--beta={beta!r}", f"--terms={terms}", f"--format={fmt}"]
+        assert _exit_code(argv) in EXIT_CODES
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=_floats(-0.5, 1.5), omega0=_floats(-5.0, 5.0), c=_floats(-5.0, 5.0),
+           t_max=_floats(-1.0, 25.0), dt=_floats(0.05, 5.0), terms=st.integers(-3, 30))
+    def test_dimensional(self, beta, omega0, c, t_max, dt, terms):
+        argv = ["dimensional", f"--beta={beta!r}", f"--omega0={omega0!r}", f"--c={c!r}",
+                f"--t-max={t_max!r}", f"--dt={dt!r}", f"--terms={terms}"]
+        assert _exit_code(argv) in EXIT_CODES
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(beta=_floats(-0.5, 1.5), t_max=_floats(-1.0, 25.0), dt=_floats(0.05, 5.0),
+           methods=st.sampled_from(["ladm", "hbm,oracle", "ladm,hbm,oracle", "dtm,hpm",
+                                    "bogus", ""]))
+    def test_compare(self, beta, t_max, dt, methods, tmp_path):
+        argv = ["compare", f"--beta={beta!r}", f"--t-max={t_max!r}", f"--dt={dt!r}",
+                f"--methods={methods}", "--out", str(tmp_path / "x.csv")]
+        assert _exit_code(argv) in EXIT_CODES

@@ -14,7 +14,7 @@ from ladm import (
     integrate,
     period,
 )
-from ladm.oracle import _rhs
+from ladm.oracle import MAX_T_END, _rhs
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -107,6 +107,11 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="finite"):
             OracleConfig(**{field: value})
 
+    def test_config_caps_horizon(self):
+        assert OracleConfig(t_end=MAX_T_END).t_end == MAX_T_END
+        with pytest.raises(DomainError, match="t_end"):
+            OracleConfig(t_end=1e300)  # used to integrate without end
+
 
 class TestSampling:
     def test_origin(self, long_trajectories):
@@ -165,34 +170,34 @@ class TestSampling:
 
 class TestPeriod:
     def test_nonrelativistic_limit(self):
-        assert period(1e-6, OracleConfig(t_end=20.0)) == pytest.approx(
+        assert period(integrate(1e-6, OracleConfig(t_end=20.0))) == pytest.approx(
             2.0 * math.pi, abs=1e-6
         )
 
     def test_beta_01_vs_hbm(self, long_trajectories):
-        p = period(0.1, traj=long_trajectories[0.1])
+        p = period(long_trajectories[0.1])
         assert p == pytest.approx(2.0 * math.pi / hbm_frequency(0.1), abs=1e-2)
 
     def test_monotone_in_beta(self, long_trajectories):
         # relativistic slowing: the period grows with the initial speed
-        periods = [period(b, traj=long_trajectories[b]) for b in BETAS]
+        periods = [period(long_trajectories[b]) for b in BETAS]
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
     def test_insufficient_horizon(self):
         with pytest.raises(InsufficientHorizonError):
-            period(0.1, OracleConfig(t_end=3.0))
+            period(integrate(0.1, OracleConfig(t_end=3.0)))
 
     @pytest.mark.parametrize("t_end", [20.0, 30.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
     def test_matches_scalar_scan_bit_for_bit(self, beta, t_end):
         traj = integrate(beta, OracleConfig(t_end=t_end))
-        assert period(beta, traj=traj) == _scalar_scan_period(traj)
+        assert period(traj) == _scalar_scan_period(traj)
 
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(min_value=0.05, max_value=0.9))
     def test_matches_energy_quadrature(self, beta):
         # Independent oracle: R. E. Mickens, J. Sound Vib. 212 (1998) 905-908.
-        assert period(beta, OracleConfig(t_end=30.0)) == pytest.approx(
+        assert period(integrate(beta, OracleConfig(t_end=30.0))) == pytest.approx(
             _quadrature_period(beta), rel=1e-9
         )
 

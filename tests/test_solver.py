@@ -79,12 +79,9 @@ class TestSolveIVP:
     def test_cross_validation_with_closed_form(self, beta):
         recursed = solve_ivp(IVPSpec.oscillator(beta), 14)
         closed = oscillator_series(beta, 14)
-        assert recursed.kappa == closed.kappa
-        # the generic loop reproduces the closed form bit for bit, so the
-        # oscillator-only diagnostics accept the recursed solution unchanged
+        # the generic loop reproduces the closed form bit for bit
         assert recursed.components == closed.components
-        assert tail_bound(recursed, 3.0) == tail_bound(closed, 3.0)
-        assert residual(recursed, 1.0) == residual(closed, 1.0)
+        assert recursed.n_terms == closed.n_terms == 14
 
 
 class TestOscillatorSeries:
@@ -146,30 +143,33 @@ class TestPartialSum:
 
 class TestTailBound:
     def test_zero_at_origin(self):
-        assert tail_bound(oscillator_series(0.1, 14), 0.0) == 0.0
+        assert tail_bound(0.1, 14, 0.0) == 0.0
 
     def test_frozen_value(self):
         # beta kappa^14 5^29 / 29!, computed directly
-        sol = oscillator_series(0.1, 14)
         expect = 0.1 * oscillator_kappa(0.1) ** 14 * 5.0**29 / math.factorial(29)
-        got = tail_bound(sol, 5.0)
+        got = tail_bound(0.1, 14, 5.0)
         assert got == pytest.approx(expect, rel=1e-13)
         assert got == pytest.approx(1.7058089632e-12, rel=1e-9)
 
     def test_monotone_in_t(self):
-        sol = oscillator_series(0.2, 14)
-        vals = [tail_bound(sol, t) for t in (0.5, 1.0, 2.0, 5.0, 10.0)]
+        vals = [tail_bound(0.2, 14, t) for t in (0.5, 1.0, 2.0, 5.0, 10.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_warns_outside_alternation_range(self):
-        sol = oscillator_series(0.2, 2)  # needs kappa t^2 < 6*7
         with pytest.warns(UserWarning):
-            tail_bound(sol, 10.0)
+            tail_bound(0.2, 2, 10.0)  # needs kappa t^2 < 6*7
 
-    def test_generic_solution_rejected(self):
-        sol = solve_ivp(IVPSpec(0.0, 1.0, NL.linear()), 3)
+    @pytest.mark.parametrize("beta, n_terms", [(0.0, 3), (1.0, 3), (0.5, 0)])
+    def test_domain(self, beta, n_terms):
         with pytest.raises(DomainError):
-            tail_bound(sol, 1.0)
+            tail_bound(beta, n_terms, 1.0)
+
+    def test_bounds_true_truncation_error(self):
+        # the first omitted component bounds |sum_3 - sum_14| at beta = 0.5
+        for t in (0.5, 1.0, 2.0):
+            err = abs(oscillator_series(0.5, 3).eval(t) - oscillator_series(0.5, 14).eval(t))
+            assert tail_bound(0.5, 3, t) * 0.9 < err <= tail_bound(0.5, 3, t)
 
 
 class TestClosedFormIdentity:
@@ -178,13 +178,12 @@ class TestClosedFormIdentity:
         # sum = (beta/w) sin(w t) with w = (1-beta^2)^(3/4); verified
         # numerically against the alternating-series remainder bound plus
         # double-precision rounding slack
-        sol = oscillator_series(beta, 14)
-        p = sol.full_sum()
+        p = oscillator_series(beta, 14).full_sum()
         w = series_frequency(beta)
         for i in range(101):
             t = 0.1 * i
             diff = abs(p.eval(t) - (beta / w) * math.sin(w * t))
-            assert diff <= tail_bound(sol, t) + 1e-13
+            assert diff <= tail_bound(beta, 14, t) + 1e-13
 
     def test_frequency_value(self):
         assert series_frequency(0.1) == pytest.approx((1 - 0.01) ** 0.75, rel=1e-15)
@@ -192,19 +191,13 @@ class TestClosedFormIdentity:
 
 class TestResidual:
     def test_zero_at_origin(self):
-        assert residual(oscillator_series(0.1, 14), 0.0) == 0.0
+        assert residual(0.1, 14, 0.0) == 0.0
 
     def test_regression_values_beta_01(self):
         # The truncated series solves the frozen-coefficient linearization,
         # not the exact nonlinear equation, so its honest residual is
         # O(beta^3), far above integrator-level error.  Frozen from a
         # direct high-resolution evaluation at build time.
-        sol = oscillator_series(0.1, 14)
-        assert residual(sol, 1.0) == pytest.approx(8.845718847e-4, rel=1e-6)
-        peak = max(residual(sol, 0.01 * i) for i in range(301))
+        assert residual(0.1, 14, 1.0) == pytest.approx(8.845718847e-4, rel=1e-6)
+        peak = max(residual(0.1, 14, 0.01 * i) for i in range(301))
         assert peak == pytest.approx(1.5075486e-3, rel=1e-5)
-
-    def test_generic_solution_rejected(self):
-        sol = solve_ivp(IVPSpec(0.0, 1.0, NL.linear()), 3)
-        with pytest.raises(DomainError):
-            residual(sol, 1.0)
