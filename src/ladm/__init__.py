@@ -14,14 +14,13 @@ from .adomian import (
 )
 from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
 from .errors import (
-    CapabilityError,
     DomainError,
     InsufficientHorizonError,
     LadmError,
     NotTabulatedError,
     OracleError,
 )
-from .oracle import OracleConfig, OracleTrajectory, energy, integrate, period
+from .oracle import OracleTrajectory, energy, integrate, period
 from .report import ComparisonReport, build_report, sweep_csv
 from .series import TimePolynomial
 from .solver import (
@@ -40,14 +39,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdomianSequence",
     "AnalyticNonlinearity",
-    "CapabilityError",
     "ComparisonReport",
     "DomainError",
     "IVPSpec",
     "InsufficientHorizonError",
     "LadmError",
     "NotTabulatedError",
-    "OracleConfig",
     "OracleError",
     "OracleTrajectory",
     "SeriesSolution",

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .series import TimePolynomial
 
 
@@ -31,25 +31,15 @@ class AnalyticNonlinearity:
     """A scalar analytic nonlinearity N with derivatives on demand.
 
     ``deriv_fn(u, j)`` must return N^(j)(u); ``deriv_fn(u, 0)`` is N(u).
-    ``max_order`` of None means every order is available.
     """
 
     name: str
     deriv_fn: Callable[[float, int], float]
-    max_order: int | None = None
 
     def deriv(self, u: float, j: int) -> float:
         if j < 0:
             raise ValueError("derivative order must be >= 0")
-        if self.max_order is not None and j > self.max_order:
-            raise CapabilityError(
-                f"nonlinearity {self.name!r} supports derivatives up to "
-                f"order {self.max_order}, got {j}"
-            )
         return self.deriv_fn(u, j)
-
-    def __call__(self, u: float) -> float:
-        return self.deriv(u, 0)
 
     # common instances used throughout the tests and the generic solver
 
@@ -63,10 +53,6 @@ class AnalyticNonlinearity:
             return math.perm(p, j) * u ** (p - j)
 
         return cls(name=f"x^{p}", deriv_fn=d)
-
-    @classmethod
-    def linear(cls) -> "AnalyticNonlinearity":
-        return cls.power(1)
 
     @classmethod
     def exp(cls) -> "AnalyticNonlinearity":
@@ -174,7 +160,7 @@ def lambda_expansion_oracle(
     vals = [p.eval(t_probe) for p in components]
 
     def g(lam: float) -> float:
-        return nonlin(sum(v * lam**i for i, v in enumerate(vals)))
+        return nonlin.deriv(sum(v * lam**i for i, v in enumerate(vals)), 0)
 
     out = []
     for n in range(order + 1):

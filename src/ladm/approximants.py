@@ -26,8 +26,6 @@ class SinusoidSum:
     def eval(self, t: float) -> float:
         return sum(a * math.sin(w * t) for a, w in self.terms)
 
-    __call__ = eval
-
     @property
     def fundamental_frequency(self) -> float:
         return self.terms[0][1]

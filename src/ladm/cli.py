@@ -20,7 +20,7 @@ from .solver import oscillator_series
 
 def cmd_series(args) -> int:
     sol = oscillator_series(args.beta, args.terms)
-    rows = [(n, comp.terms[0][0], comp.terms[0][1]) for n, comp in enumerate(sol.components)]
+    rows = [(n, 2 * n + 1, comp.coeff(2 * n + 1)) for n, comp in enumerate(sol.components)]
     if args.format == "json":
         payload = {
             "beta": args.beta,
@@ -72,7 +72,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_period(args) -> int:
-    traj = oracle.integrate(args.beta, oracle.OracleConfig(t_end=args.t_end))
+    traj = oracle.integrate(args.beta, args.t_end)
     print(_fmt(oracle.period(traj)))
     return 0
 

@@ -9,10 +9,6 @@ class DomainError(LadmError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class CapabilityError(LadmError):
-    """A nonlinearity was asked for a derivative order it does not support."""
-
-
 class NotTabulatedError(LadmError, KeyError):
     """No tabulated approximant exists for the requested (method, beta) pair."""
 

@@ -22,19 +22,7 @@ from .errors import DomainError, InsufficientHorizonError, OracleError
 
 _MONITOR_SAMPLES = 2048  # uniform refinement used for the energy/speed monitor
 MAX_T_END = 1e4  # at beta 0.5 this horizon takes ~20 s and ~200 MB on a 2-core host
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
-    t_end: float = 100.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise DomainError("tolerances must be finite and positive")
-        if not 0 < self.t_end <= MAX_T_END:
-            raise DomainError(f"oracle horizon t_end must be finite and in (0, {MAX_T_END:g}]")
+TOL = 1e-12  # DOP853 relative and absolute tolerance
 
 
 def energy(x: float, v: float) -> float:
@@ -74,19 +62,20 @@ def _rhs(t, y):
     return [v, -((1.0 - v * v) ** 1.5) * x]
 
 
-def integrate(beta: float, cfg: OracleConfig | None = None) -> OracleTrajectory:
-    """Integrate the oscillator from (x, v) = (0, beta) to cfg.t_end."""
+def integrate(beta: float, t_end: float) -> OracleTrajectory:
+    """Integrate the oscillator from (x, v) = (0, beta) to t_end at tolerance TOL."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    cfg = cfg or OracleConfig()
+    if not 0 < t_end <= MAX_T_END:
+        raise DomainError(f"oracle horizon t_end must be finite and in (0, {MAX_T_END:g}]")
     try:
         res = _scipy_solve_ivp(
             _rhs,
-            (0.0, cfg.t_end),
+            (0.0, t_end),
             [0.0, beta],
             method="DOP853",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
+            rtol=TOL,
+            atol=TOL,
             dense_output=True,
         )
     except (ValueError, FloatingPointError) as exc:
@@ -99,7 +88,7 @@ def integrate(beta: float, cfg: OracleConfig | None = None) -> OracleTrajectory:
         raise OracleError(f"speed bound violated at t={res.t[i]}: v={vs[i]}")
 
     # energy drift on accepted steps plus a uniform refinement
-    tgrid = np.union1d(res.t, np.linspace(0.0, cfg.t_end, _MONITOR_SAMPLES))
+    tgrid = np.union1d(res.t, np.linspace(0.0, t_end, _MONITOR_SAMPLES))
     dense = res.sol(tgrid)
     e = 1.0 / np.sqrt(1.0 - dense[1] ** 2) + 0.5 * dense[0] ** 2
     drift = float(np.max(np.abs(e - energy(0.0, beta))))

@@ -29,10 +29,23 @@ class ComparisonReport:
     beta: float
     grid: tuple[float, ...]
     columns: dict[str, tuple[float, ...]]  # method -> x values on grid
-    frequency_summary: dict[str, float]
+    oracle_period: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.beta < 1.0:  # the frequencies are derived from it
+            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
 
     def method_names(self) -> list[str]:
         return [m for m in ALL_METHODS if m in self.columns]
+
+    @cached_property
+    def frequency_summary(self) -> dict[str, float]:
+        """Series and HBM frequencies of beta, plus the oracle's when it was run."""
+        freq = {"omega_series": series_frequency(self.beta),
+                "omega_hbm": approximants.hbm_frequency(self.beta)}
+        if (p := self.oracle_period) is not None:
+            freq.update(oracle_period=p, omega_oracle=2.0 * math.pi / p)
+        return freq
 
     @cached_property
     def _abs_errors(self) -> dict[str, list[float]]:
@@ -74,15 +87,19 @@ class ComparisonReport:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ComparisonReport":
-        """Parse ``to_json`` output; the stored errors are recomputed, not read."""
+        """Parse ``to_json`` output; the stored errors and omegas are recomputed, not read."""
         try:
             d = json.loads(text)
+            period = d["frequency_summary"].get("oracle_period")
             grid = tuple(map(float, d["grid"]))
             columns = {m: tuple(map(float, v)) for m, v in d["columns"].items()}
             bad = [m for m, v in columns.items() if m not in ALL_METHODS or len(v) != len(grid)]
             if bad or not (grid and columns):
                 raise ValueError(f"need a grid and method columns of its length, got {bad}")
-            return cls(beta=d["beta"], grid=grid, columns=columns, frequency_summary=d["frequency_summary"])
+            finite = all(map(math.isfinite, [*grid, *(x for v in columns.values() for x in v)]))
+            if not finite or period is not None and not 0 < period < math.inf:
+                raise ValueError("grid, columns and a positive oracle_period must be finite")
+            return cls(beta=d["beta"], grid=grid, columns=columns, oracle_period=period)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise DomainError(f"not a comparison report: {exc!r}") from exc
 
@@ -132,19 +149,14 @@ def build_report(
             s = approximants.tabulated(m.upper(), beta)
             columns[m] = tuple(s.eval(t) for t in grid)
 
-    freq: dict[str, float] = {
-        "omega_series": series_frequency(beta),
-        "omega_hbm": approximants.hbm_frequency(beta),
-    }
+    period = None
     if "oracle" in methods:
         # i*dt can round a few ulps past t_max; the horizon covers the grid
-        cfg = oracle.OracleConfig(t_end=max(t_max, grid[-1], 20.0))
-        traj = oracle.integrate(beta, cfg)
+        traj = oracle.integrate(beta, max(t_max, grid[-1], 20.0))
         columns["oracle"] = tuple(traj.sample_on_grid(grid))
-        freq["oracle_period"] = oracle.period(traj)
-        freq["omega_oracle"] = 2.0 * math.pi / freq["oracle_period"]
+        period = oracle.period(traj)
 
-    return ComparisonReport(beta=beta, grid=grid, columns=columns, frequency_summary=freq)
+    return ComparisonReport(beta=beta, grid=grid, columns=columns, oracle_period=period)
 
 
 def sweep_csv(beta_min: float, beta_max: float, steps: int) -> str:

@@ -88,15 +88,10 @@ class TimePolynomial:
             total += c * power
         return total
 
-    def __call__(self, t: float) -> float:
-        return self.eval(t)
-
     # -- algebra ------------------------------------------------------
 
-    def add(self, other: "TimePolynomial") -> "TimePolynomial":
+    def __add__(self, other: "TimePolynomial") -> "TimePolynomial":
         return TimePolynomial(self.terms + other.terms)
-
-    __add__ = add
 
     def scale(self, s: float) -> "TimePolynomial":
         return TimePolynomial(tuple((k, c * s) for k, c in self.terms))
@@ -105,7 +100,7 @@ class TimePolynomial:
         return self.scale(-1.0)
 
     def __sub__(self, other: "TimePolynomial") -> "TimePolynomial":
-        return self.add(other.scale(-1.0))
+        return self + other.scale(-1.0)
 
     def double_integrate(self) -> "TimePolynomial":
         """Integrate twice from 0 with zero constants: degree shift by 2."""

@@ -19,7 +19,6 @@ import pytest
 from ladm import (
     AnalyticNonlinearity as NL,
     IVPSpec,
-    OracleConfig,
     TimePolynomial as TP,
     adomian_polynomials,
     build_report,
@@ -151,13 +150,12 @@ def test_criterion_06_oracle_integrity(capsys):
     with capsys.disabled():
         import numpy as np
 
-        cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-12, t_end=100.0)
         for beta in BETAS:
-            traj = integrate(beta, cfg)
+            traj = integrate(beta, 100.0)
             assert traj.energy_drift <= 1e-9, beta
             vs = traj.interpolant(np.linspace(0, 100, 4001))[1]
             assert np.max(np.abs(vs)) <= beta + 1e-9, beta
-        small = integrate(1e-6, OracleConfig(t_end=10.0))
+        small = integrate(1e-6, 10.0)
         ts = np.linspace(0.0, 10.0, 401)
         for t, x in zip(ts, small.sample_on_grid(ts)):
             assert abs(x - 1e-6 * math.sin(t)) <= 1e-9
@@ -170,7 +168,7 @@ def test_criterion_07_series_vs_oracle_error(capsys):
         # 1.784e-3 (beta=0.1) and 1.469e-2 (beta=0.2) on a 0.01-spaced grid
         frozen = {0.1: (5e-3, 1.9e-3), 0.2: (2e-2, 1.5e-2)}
         for beta, (criterion, pinned) in frozen.items():
-            traj = integrate(beta, OracleConfig(t_end=5.0))
+            traj = integrate(beta, 5.0)
             p = oscillator_series(beta, 14).full_sum()
             grid = [0.01 * i for i in range(501)]
             worst = max(

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from ladm import ComparisonReport, DomainError, build_report, sweep_csv
 from ladm.cli import main
-from ladm.report import MAX_GRID_POINTS, make_grid
+from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
+from ladm.solver import MAX_TERMS
 
 EXIT_CODES = {0, 1, 2, 3, 4}  # as documented in ladm.cli
 
@@ -32,6 +33,19 @@ class TestSeriesCommand:
     def test_domain_error_exit_3(self, capsys):
         assert main(["series", "--beta", "0"]) == 3
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta, terms", [("0.9", 301), ("0.999", 81),
+                                             ("0.9999999999999999", 15)])
+    def test_underflowed_component_prints_zero(self, beta, terms, capsys):
+        # the first term counts whose last component underflows to an empty
+        # polynomial; each used to end in an IndexError traceback
+        assert main(["series", "--beta", beta, "--terms", str(terms)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == terms + 1
+        assert lines[-1] == f"{terms - 1},{2 * terms - 1},0.000000000000e+00"
+        assert main(["series", "--beta", beta, "--terms", str(terms), "--format", "json"]) == 0
+        last = json.loads(capsys.readouterr().out)["components"][-1]
+        assert last == {"n": terms - 1, "degree": 2 * terms - 1, "scaled_coefficient": 0.0}
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +240,21 @@ class TestDimensionalCommand:
         assert out == "" and "dt must be positive" in err
 
 
+class TestTermsCap:
+    @pytest.mark.parametrize("argv", [
+        ["series", "--beta", "0.5"],
+        ["compare", "--beta", "0.5", "--out", "{d}/x.csv"],
+        ["dimensional", "--beta", "0.5", "--omega0", "1", "--c", "1"],
+    ], ids=["series", "compare", "dimensional"])
+    def test_over_cap_exit_3(self, argv, tmp_path, capsys):
+        # --terms 1000001 used to run for hours (quadratic partial sum)
+        argv = [a.format(d=tmp_path) for a in argv] + ["--terms", "1000001"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"[1, {MAX_TERMS}]" in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestReportHelpers:
     def test_make_grid(self):
         assert make_grid(1.0, 0.5) == (0.0, 0.5, 1.0)
@@ -264,6 +293,29 @@ class TestReportHelpers:
         payload["errors"]["ladm"]["max_abs"] = 1.0
         assert ComparisonReport.from_json(json.dumps(payload)).errors == rep.errors
 
+    def test_from_json_derives_frequencies(self):
+        # an edited beta used to keep the omegas stored for the old one
+        rep = build_report(0.1, t_max=1.0, dt=0.5, methods=("ladm", "oracle"))
+        payload = json.loads(rep.to_json())
+        payload["beta"] = 0.2
+        payload["frequency_summary"]["omega_series"] = 123.0
+        back = ComparisonReport.from_json(json.dumps(payload))
+        want = build_report(0.2, t_max=1.0, dt=0.5, methods=("hbm",)).frequency_summary
+        assert {k: back.frequency_summary[k] for k in want} == want
+        assert back.frequency_summary["oracle_period"] == rep.oracle_period
+        assert back.frequency_summary["omega_oracle"] == 2.0 * math.pi / rep.oracle_period
+
+    def test_frequency_summary_without_oracle(self):
+        rep = build_report(0.1, t_max=1.0, dt=0.5, methods=("ladm",))
+        assert sorted(rep.frequency_summary) == ["omega_hbm", "omega_series"]
+        assert ComparisonReport.from_json(rep.to_json()).to_json() == rep.to_json()
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.nan])
+    def test_report_rejects_beta_outside_domain(self, beta):
+        # the frequencies are derived from beta, even with no method column
+        with pytest.raises(DomainError, match="beta"):
+            build_report(beta, t_max=1.0, dt=0.5, methods=())
+
     def test_sweep_csv_validation(self):
         import ladm.errors as errors
 
@@ -298,13 +350,47 @@ class TestFileErrors:
              b'"frequency_summary": {}}', 3),
             (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
              b'{"beta": 0.1, "grid": [], "columns": {}, "frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, NaN], "columns": {"ladm": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, Infinity], "columns": {"ladm": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": [0, 1e400]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": [0, 1], "oracle": [NaN, 1]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": [0, -Infinity]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"oracle": [0, 1]}, '
+             b'"frequency_summary": {"oracle_period": Infinity}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"oracle": [0, 1]}, '
+             b'"frequency_summary": {"oracle_period": NaN}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"oracle": [0, 1]}, '
+             b'"frequency_summary": {"oracle_period": 0}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 2.0, "grid": [0, 1], "columns": {"ladm": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": "0.1", "grid": [0, 1], "columns": {"ladm": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
         ],
         ids=["compare-out-dir", "sweep-out-dir", "plot-in-missing", "plot-no-grid",
              "plot-not-json", "plot-not-utf8", "plot-non-numeric", "plot-short-column",
-             "plot-unknown-method", "plot-empty"],
+             "plot-unknown-method", "plot-empty", "plot-grid-nan", "plot-grid-inf",
+             "plot-column-overflow", "plot-column-nan", "plot-column-neg-inf",
+             "plot-period-inf", "plot-period-nan", "plot-period-zero", "plot-beta-2",
+             "plot-beta-string"],
     )
     def test_exit_code_and_message(self, argv, content, code, tmp_path, capsys):
-        # the first four used to exit 1 with a traceback
+        # the first four used to exit 1 with a traceback; the non-finite
+        # values used to render nan coordinates with exit 0
         if content is not None:
             (tmp_path / "rep.json").write_bytes(content)
         assert main([a.format(d=tmp_path) for a in argv]) == code
@@ -321,6 +407,23 @@ def _floats(lo, hi):
     return st.one_of(st.sampled_from(_SPECIAL), st.floats(lo, hi))
 
 
+@st.composite
+def _reports(draw):
+    """Report payloads: about half finite with beta in (0, 1), the rest with special values."""
+    special = draw(st.booleans())
+    num = _floats(-5.0, 5.0) if special else st.floats(-5.0, 5.0)
+    n = draw(st.integers(1, 3))
+    values = st.lists(num, min_size=n, max_size=draw(st.sampled_from([n, n, n + 1])))
+    period = draw(st.one_of(st.none(), _floats(-1.0, 10.0) if special else st.floats(1.0, 10.0)))
+    return {
+        "beta": draw(_floats(-0.5, 1.5) if special else st.floats(0.01, 0.99)),
+        "grid": draw(values),
+        "columns": draw(st.dictionaries(st.sampled_from(ALL_METHODS + ("xyz",)), values,
+                                        min_size=1, max_size=3)),
+        "frequency_summary": {} if period is None else {"oracle_period": period},
+    }
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -331,13 +434,14 @@ def _exit_code(argv):
 class TestExitCodesProperty:
     """Every input ends in a documented exit code, never an uncaught exception.
 
-    Finite draws keep t_max at most 25 and dt at least 0.05, so each
-    example stays small; the special values cover the rest of the range
-    through the domain checks.
+    Finite draws keep t_max at most 25, t_end at most 60, dt at least 0.05
+    and sweeps at most 3 steps, so each example stays small; the special
+    values cover the rest of the range through the domain checks.
     """
 
     @settings(max_examples=40, deadline=None)
-    @given(beta=_floats(-0.5, 1.5), terms=st.integers(-3, 30),
+    @given(beta=_floats(-0.5, 1.5),
+           terms=st.one_of(st.integers(-3, 30), st.sampled_from([301, 1000, 1001, 10**9])),
            fmt=st.sampled_from(["csv", "json"]))
     def test_series(self, beta, terms, fmt):
         argv = ["series", f"--beta={beta!r}", f"--terms={terms}", f"--format={fmt}"]
@@ -359,4 +463,26 @@ class TestExitCodesProperty:
     def test_compare(self, beta, t_max, dt, methods, tmp_path):
         argv = ["compare", f"--beta={beta!r}", f"--t-max={t_max!r}", f"--dt={dt!r}",
                 f"--methods={methods}", "--out", str(tmp_path / "x.csv")]
+        assert _exit_code(argv) in EXIT_CODES
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(beta_min=_floats(0.0, 0.5), beta_max=_floats(0.5, 1.0), steps=st.integers(-1, 3))
+    def test_sweep(self, beta_min, beta_max, steps, tmp_path):
+        argv = ["sweep", f"--beta-min={beta_min!r}", f"--beta-max={beta_max!r}",
+                f"--steps={steps}", "--out", str(tmp_path / "x.csv")]
+        assert _exit_code(argv) in EXIT_CODES
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=_floats(0.0, 1.0), t_end=_floats(0.0, 60.0))
+    def test_period(self, beta, t_end):
+        assert _exit_code(["period", f"--beta={beta!r}", f"--t-end={t_end!r}"]) in EXIT_CODES
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=_reports())
+    def test_plot(self, payload, tmp_path):
+        # json.dumps writes NaN and Infinity tokens, which json.loads reads back
+        (tmp_path / "r.json").write_text(json.dumps(payload))
+        argv = ["plot", "--in", str(tmp_path / "r.json"), "--out", str(tmp_path / "fig.svg")]
         assert _exit_code(argv) in EXIT_CODES

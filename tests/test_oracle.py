@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp as scipy_ivp
 
 from ladm import (
     DomainError,
     InsufficientHorizonError,
-    OracleConfig,
+    OracleError,
     energy,
     hbm_frequency,
     integrate,
+    oracle,
     period,
 )
 from ladm.oracle import MAX_T_END, _rhs
@@ -21,8 +23,14 @@ BETAS = [0.1, 0.2, 0.5, 0.9]
 
 @pytest.fixture(scope="module")
 def long_trajectories():
-    cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-12, t_end=100.0)
-    return {beta: integrate(beta, cfg) for beta in BETAS}
+    return {beta: integrate(beta, 100.0) for beta in BETAS}
+
+
+def _dop853_positions(beta, t_end, tol, ts):
+    """Positions at ts from scipy's DOP853 on the oracle's own system at tolerance tol."""
+    sol = scipy_ivp(_rhs, (0.0, t_end), [0.0, beta], method="DOP853",
+                    rtol=tol, atol=tol, dense_output=True).sol
+    return sol(ts)[0]
 
 
 class TestEnergy:
@@ -45,7 +53,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_beta_domain(self, beta):
         with pytest.raises(DomainError):
-            integrate(beta)
+            integrate(beta, 10.0)
 
     def test_initial_condition_exact(self, long_trajectories):
         t0, x0, v0 = long_trajectories[0.1].samples[0]
@@ -69,23 +77,21 @@ class TestIntegrate:
 
     def test_nonrelativistic_limit(self):
         beta = 1e-6
-        traj = integrate(beta, OracleConfig(t_end=10.0))
+        traj = integrate(beta, 10.0)
         ts = np.linspace(0.0, 10.0, 500)
         xs = traj.sample_on_grid(ts)
         for t, x in zip(ts, xs):
             assert x == pytest.approx(beta * math.sin(t), abs=1e-9)
 
     def test_tolerance_self_consistency(self):
-        # halving tolerances must not move the solution by more than the
-        # looser tolerance's error level
+        # tightening the tolerance from 1e-10 to TOL = 1e-12 must not move the
+        # solution by more than the looser tolerance's error level
         grid = np.linspace(0.0, 100.0, 401)
-        a = integrate(0.5, OracleConfig(rel_tol=1e-10, abs_tol=1e-10)).sample_on_grid(grid)
-        b = integrate(0.5, OracleConfig(rel_tol=1e-12, abs_tol=1e-12)).sample_on_grid(grid)
+        a = _dop853_positions(0.5, 100.0, 1e-10, grid)
+        b = integrate(0.5, 100.0).sample_on_grid(grid)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-8
 
     def test_time_reversal_symmetry(self):
-        from scipy.integrate import solve_ivp as scipy_ivp
-
         beta, t_end = 0.3, 17.0
         kw = dict(method="DOP853", rtol=1e-12, atol=1e-12)
         fwd = scipy_ivp(_rhs, (0.0, t_end), [0.0, beta], **kw)
@@ -95,22 +101,29 @@ class TestIntegrate:
         assert x2 == pytest.approx(0.0, abs=1e-8)
         assert v2 == pytest.approx(-beta, abs=1e-8)
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            OracleConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            OracleConfig(t_end=-1.0)
-
-    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "t_end"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_config_rejects_non_finite(self, field, value):
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan], ids=["inf-t_end", "nan-t_end"])
+    def test_config_rejects_non_finite(self, t_end):
         with pytest.raises(DomainError, match="finite"):
-            OracleConfig(**{field: value})
+            integrate(0.5, t_end)
 
-    def test_config_caps_horizon(self):
-        assert OracleConfig(t_end=MAX_T_END).t_end == MAX_T_END
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_rejects_nonpositive_horizon(self, t_end):
         with pytest.raises(DomainError, match="t_end"):
-            OracleConfig(t_end=1e300)  # used to integrate without end
+            integrate(0.5, t_end)
+
+    def test_config_caps_horizon(self, monkeypatch):
+        with pytest.raises(DomainError, match="t_end"):
+            integrate(0.5, 1e300)  # used to integrate without end
+        with pytest.raises(DomainError, match="t_end"):
+            integrate(0.5, np.nextafter(MAX_T_END, math.inf))
+
+        # the cap itself passes the check and reaches the integrator
+        def scipy_reached(*args, **kwargs):
+            raise ValueError("integrator reached")
+
+        monkeypatch.setattr(oracle, "_scipy_solve_ivp", scipy_reached)
+        with pytest.raises(OracleError, match="integrator reached"):
+            integrate(0.5, MAX_T_END)
 
 
 class TestSampling:
@@ -159,18 +172,17 @@ class TestSampling:
 
     def test_midpoint_interpolation_accuracy(self):
         # dense output between accepted steps agrees with a direct
-        # integration restarted on a finer grid
-        traj = integrate(0.2, OracleConfig(t_end=10.0))
-        fine = integrate(0.2, OracleConfig(rel_tol=1e-13, abs_tol=1e-13, t_end=10.0))
+        # integration at the tighter tolerance 1e-13
+        traj = integrate(0.2, 10.0)
         ts = np.linspace(0.1, 9.9, 333)
         a = traj.sample_on_grid(ts)
-        b = fine.sample_on_grid(ts)
+        b = _dop853_positions(0.2, 10.0, 1e-13, ts)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-9
 
 
 class TestPeriod:
     def test_nonrelativistic_limit(self):
-        assert period(integrate(1e-6, OracleConfig(t_end=20.0))) == pytest.approx(
+        assert period(integrate(1e-6, 20.0)) == pytest.approx(
             2.0 * math.pi, abs=1e-6
         )
 
@@ -185,19 +197,19 @@ class TestPeriod:
 
     def test_insufficient_horizon(self):
         with pytest.raises(InsufficientHorizonError):
-            period(integrate(0.1, OracleConfig(t_end=3.0)))
+            period(integrate(0.1, 3.0))
 
     @pytest.mark.parametrize("t_end", [20.0, 30.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
     def test_matches_scalar_scan_bit_for_bit(self, beta, t_end):
-        traj = integrate(beta, OracleConfig(t_end=t_end))
+        traj = integrate(beta, t_end)
         assert period(traj) == _scalar_scan_period(traj)
 
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(min_value=0.05, max_value=0.9))
     def test_matches_energy_quadrature(self, beta):
         # Independent oracle: R. E. Mickens, J. Sound Vib. 212 (1998) 905-908.
-        assert period(integrate(beta, OracleConfig(t_end=30.0))) == pytest.approx(
+        assert period(integrate(beta, 30.0)) == pytest.approx(
             _quadrature_period(beta), rel=1e-9
         )
 

@@ -14,6 +14,7 @@ from ladm import (
     solve_ivp,
     tail_bound,
 )
+from ladm.solver import MAX_TERMS
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -56,7 +57,7 @@ class TestSolveIVP:
         assert sol.components[1].coeff(3) == pytest.approx(-0.1881208, abs=5e-7)
 
     def test_linear_gives_sine_series(self):
-        sol = solve_ivp(IVPSpec(0.0, 1.0, NL.linear()), 4)
+        sol = solve_ivp(IVPSpec(0.0, 1.0, NL.power(1)), 4)
         assert [c.as_dict() for c in sol.components] == [
             {1: 1.0},
             {3: -1.0},
@@ -67,7 +68,7 @@ class TestSolveIVP:
     def test_linear_scaled_by_beta(self):
         # generic-engine path: beta sin(t) Taylor components, exactly
         beta = 0.37
-        sol = solve_ivp(IVPSpec(0.0, beta, NL.linear()), 6)
+        sol = solve_ivp(IVPSpec(0.0, beta, NL.power(1)), 6)
         for n, comp in enumerate(sol.components):
             assert comp.as_dict() == {2 * n + 1: beta * (-1.0) ** n}
 
@@ -108,6 +109,13 @@ class TestOscillatorSeries:
         with pytest.raises(DomainError):
             oscillator_series(1.0, 5)
 
+    def test_term_cap(self):
+        assert oscillator_series(0.5, MAX_TERMS).n_terms == MAX_TERMS
+        with pytest.raises(DomainError, match=str(MAX_TERMS)):
+            oscillator_series(0.5, MAX_TERMS + 1)
+        with pytest.raises(DomainError):
+            oscillator_series(0.5, 10**18)  # refused before any component is built
+
     def test_oddness(self):
         p = oscillator_series(0.3, 10).full_sum()
         assert all(k % 2 == 1 for k, _ in p.terms)
@@ -132,6 +140,16 @@ class TestPartialSum:
         sol = oscillator_series(0.2, 14)
         assert sol.partial_sum(13) == sol.full_sum()
         assert sol.full_sum().max_degree == 27
+
+    @pytest.mark.parametrize("nonlin", [NL.power(2), NL.exp()], ids=["x^2", "exp"])
+    def test_equals_componentwise_addition(self, nonlin):
+        # generic components overlap in degree, so the summation order shows
+        sol = solve_ivp(IVPSpec(0.3, 0.7, nonlin), 6)
+        for k in range(sol.n_terms):
+            total = TP.zero()
+            for comp in sol.components[: k + 1]:
+                total = total + comp
+            assert sol.partial_sum(k).terms == total.terms
 
     def test_index_errors(self):
         sol = oscillator_series(0.2, 5)
