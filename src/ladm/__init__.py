@@ -6,12 +6,7 @@ oscillator series, closed-form periodic approximants, a high-order
 reference integrator, and report builders behind the ``ladm`` CLI.
 """
 
-from .adomian import (
-    AdomianSequence,
-    AnalyticNonlinearity,
-    adomian_polynomials,
-    lambda_expansion_oracle,
-)
+from .adomian import AdomianSequence, AnalyticNonlinearity, adomian_polynomials
 from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
 from .errors import (
     DomainError,
@@ -56,7 +51,6 @@ __all__ = [
     "hbm",
     "hbm_frequency",
     "integrate",
-    "lambda_expansion_oracle",
     "oscillator_kappa",
     "oscillator_series",
     "period",

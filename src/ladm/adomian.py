@@ -11,9 +11,6 @@ C(0, 0) = 1, C(0, n) = 0 for n >= 1 and
 For orders <= 4 this reproduces the classical closed forms (A_0 = N(x_0),
 A_1 = x_1 N'(x_0), ...).  The relativistic oscillator of ``ladm.solver`` is
 the linear case N(x) = kappa x, whose sequence is A_m = kappa x_m.
-
-``lambda_expansion_oracle`` is an independent finite-difference check of
-the generic construction, kept deliberately free of any series algebra.
 """
 
 from __future__ import annotations
@@ -128,44 +125,3 @@ def adomian_polynomials(
         polys.append(a_n)
     return AdomianSequence(polys=tuple(polys))
 
-
-# Central finite-difference stencils for d^n/dh^n, O(h^4) accurate.
-# Keys: order n -> list of (offset multiple of h, weight); divide by h^n.
-_STENCILS: dict[int, list[tuple[float, float]]] = {
-    0: [(0.0, 1.0)],
-    1: [(-2.0, 1 / 12), (-1.0, -8 / 12), (1.0, 8 / 12), (2.0, -1 / 12)],
-    2: [(-2.0, -1 / 12), (-1.0, 16 / 12), (0.0, -30 / 12), (1.0, 16 / 12), (2.0, -1 / 12)],
-    3: [(-3.0, 1 / 8), (-2.0, -1.0), (-1.0, 13 / 8), (1.0, -13 / 8), (2.0, 1.0), (3.0, -1 / 8)],
-    4: [(-3.0, -1 / 6), (-2.0, 2.0), (-1.0, -13 / 2), (0.0, 28 / 3), (1.0, -13 / 2), (2.0, 2.0), (3.0, -1 / 6)],
-}
-
-
-def lambda_expansion_oracle(
-    nonlin: AnalyticNonlinearity,
-    components: Sequence[TimePolynomial],
-    order: int,
-    t_probe: float,
-    h: float = 1e-4,
-) -> list[float]:
-    """Estimate A_0(t_probe)..A_order(t_probe) by finite differences in lambda.
-
-    Differentiates g(lambda) = N(sum_i x_i(t_probe) lambda^i) with central
-    stencils; independent of the series-composition machinery, so it serves
-    as a ground-truth check for ``adomian_polynomials``.  Rounding limits
-    the usable h: orders 3-4 need h around 1e-2 rather than the 1e-4 that
-    suits orders <= 2.
-    """
-    if h <= 0:
-        raise DomainError("h must be positive")
-    vals = [p.eval(t_probe) for p in components]
-
-    def g(lam: float) -> float:
-        return nonlin.deriv(sum(v * lam**i for i, v in enumerate(vals)), 0)
-
-    out = []
-    for n in range(order + 1):
-        if n not in _STENCILS:
-            raise DomainError("oracle supports orders 0..4")
-        dn = sum(w * g(off * h) for off, w in _STENCILS[n]) / h**n
-        out.append(dn / math.factorial(n))
-    return out

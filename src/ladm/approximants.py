@@ -7,8 +7,9 @@ the literature, with no re-derivation of the underlying methods.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NotTabulatedError
 
@@ -23,12 +24,12 @@ class SinusoidSum:
         if any(w <= 0 for _, w in self.terms):
             raise ValueError("angular frequencies must be positive")
 
-    def eval(self, t: float) -> float:
-        return sum(a * math.sin(w * t) for a, w in self.terms)
-
-    @property
-    def fundamental_frequency(self) -> float:
-        return self.terms[0][1]
+    def eval(self, t):
+        """x at t (a float or an array), the terms added left to right."""
+        total = 0.0
+        for a, w in self.terms:
+            total = total + a * np.sin(w * t)
+        return total
 
 
 def hbm_frequency(beta: float) -> float:

@@ -81,10 +81,9 @@ def cmd_dimensional(args) -> int:
     if not (0 < args.omega0 < math.inf and 0 < args.c < math.inf):
         raise DomainError("omega0 and c must be positive and finite")
     grid = report.make_grid(args.t_max, args.dt)
-    p = oscillator_series(args.beta, args.terms).full_sum()
+    xs = report.ladm_column(args.beta, args.terms, grid).tolist()
     print("t,x,t_dimensional,x_dimensional")
-    for t in grid:
-        x = p.eval(t)
+    for t, x in zip(grid, xs):
         print(",".join(_fmt(v) for v in (t, x, t / args.omega0, args.c * x / args.omega0)))
     return 0
 

@@ -52,9 +52,29 @@ class OracleTrajectory:
         bad = np.flatnonzero(~((ts >= 0.0) & (ts <= self.t_end)))
         if bad.size:
             raise DomainError(f"t={ts[bad[0]]} outside [0, {self.t_end}]")
-        if ts.size == 0:
-            return []  # OdeSolution cannot evaluate an empty array
-        return self.interpolant(ts)[0].tolist()
+        return _dense(self.interpolant, ts)[0].tolist()
+
+
+def _dense(sol, ts) -> np.ndarray:
+    """``sol(ts)`` for a DOP853 OdeSolution, all steps evaluated at once.
+
+    Each point takes the step OdeSolution gives it (the lower one on a step
+    boundary) and runs the Horner loop of ``Dop853DenseOutput`` on that
+    step's degree-7 polynomial, so the result equals ``sol(ts)`` bit for bit
+    without scipy's Python loop over steps.
+    """
+    ts = np.asarray(ts, dtype=float)
+    steps = sol.interpolants
+    seg = np.clip(np.searchsorted(sol.ts, ts, side="left") - 1, 0, len(steps) - 1)
+    t_old, h = (np.array([getattr(d, a) for d in steps])[seg] for a in ("t_old", "h"))
+    x = ((ts - t_old) / h)[:, None]
+    F = np.array([d.F for d in steps])  # (steps, 7, 2); one row is gathered at a time
+    y = np.zeros((ts.size, F.shape[2]))
+    for i, k in enumerate(reversed(range(F.shape[1]))):
+        y += F[seg, k]
+        y *= x if i % 2 == 0 else 1 - x
+    y += np.array([d.y_old for d in steps])[seg]
+    return y.T
 
 
 def _rhs(t, y):
@@ -89,7 +109,7 @@ def integrate(beta: float, t_end: float) -> OracleTrajectory:
 
     # energy drift on accepted steps plus a uniform refinement
     tgrid = np.union1d(res.t, np.linspace(0.0, t_end, _MONITOR_SAMPLES))
-    dense = res.sol(tgrid)
+    dense = _dense(res.sol, tgrid)
     e = 1.0 / np.sqrt(1.0 - dense[1] ** 2) + 0.5 * dense[0] ** 2
     drift = float(np.max(np.abs(e - energy(0.0, beta))))
 
@@ -101,14 +121,14 @@ def period(traj: OracleTrajectory) -> float:
     """Oscillation period of ``traj`` from successive upward zero crossings of x(t).
 
     Crossings are located by a sign scan of dense output, evaluated in one
-    vectorised call, and the first two brackets are refined by scalar
+    array pass, and the first two brackets are refined by scalar
     bisection to 1e-12 in t.  Needs a horizon covering at least two
     crossings after t = 0.
     """
     x = lambda t: float(traj.interpolant(t)[0])
     t_end = traj.t_end
     ts = np.linspace(0.0, t_end, max(64, int(t_end * 40)))
-    xs = traj.interpolant(ts)[0]
+    xs = _dense(traj.interpolant, ts)[0]
     # bracket i is [ts[i], ts[i+1]]; i = 0 holds the starting crossing x(0) = 0
     brackets = np.flatnonzero((xs[1:-1] < 0.0) & (xs[2:] >= 0.0)) + 1
     if brackets.size < 2:

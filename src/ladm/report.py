@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import approximants, oracle
 from .errors import DomainError
 from .solver import oscillator_series, series_frequency
@@ -18,10 +20,11 @@ from .solver import oscillator_series, series_frequency
 ALL_METHODS = ("ladm", "hbm", "dtm", "hpm", "oracle")
 DEFAULT_N_TERMS = 14
 MAX_GRID_POINTS = 1_000_000
+_FMT = "%.12e"
 
 
 def _fmt(x: float) -> str:
-    return "%.12e" % x
+    return _FMT % x
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class ComparisonReport:
         """method -> |x - x_oracle| on the grid; empty without an oracle column."""
         ref = self.columns.get("oracle")
         others = [m for m in self.columns if m != "oracle"] if ref else []
-        return {m: [abs(a - b) for a, b in zip(self.columns[m], ref)] for m in others}
+        return {m: np.abs(np.subtract(self.columns[m], ref)).tolist() for m in others}
 
     @cached_property
     def errors(self) -> dict[str, tuple[float, float]]:
@@ -68,12 +71,10 @@ class ComparisonReport:
         methods = self.method_names()
         err_methods = [m for m in methods if m in self._abs_errors]
         header = ["t"] + methods + [f"err_{m}" for m in err_methods]
-        lines = [",".join(header)]
-        for i, t in enumerate(self.grid):
-            row = [_fmt(t)] + [_fmt(self.columns[m][i]) for m in methods]
-            row += [_fmt(self._abs_errors[m][i]) for m in err_methods]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        cols = [self.grid, *(self.columns[m] for m in methods),
+                *(self._abs_errors[m] for m in err_methods)]
+        row = ",".join([_FMT] * len(cols))
+        return "\n".join([",".join(header), *(row % r for r in zip(*cols))]) + "\n"
 
     def to_json(self) -> str:
         payload = {
@@ -136,27 +137,42 @@ def build_report(
         if m not in ALL_METHODS:
             raise DomainError(f"unknown method {m!r}; choose from {ALL_METHODS}")
     grid = make_grid(t_max, dt)
+    ts = np.array(grid)
 
-    columns: dict[str, tuple[float, ...]] = {}
+    columns = {}
     if "ladm" in methods:
-        p = oscillator_series(beta, n_terms).full_sum()
-        columns["ladm"] = tuple(p.eval(t) for t in grid)
+        columns["ladm"] = ladm_column(beta, n_terms, ts)
     if "hbm" in methods:
-        s = approximants.hbm(beta)
-        columns["hbm"] = tuple(s.eval(t) for t in grid)
+        columns["hbm"] = approximants.hbm(beta).eval(ts)
     for m in ("dtm", "hpm"):
         if m in methods:
-            s = approximants.tabulated(m.upper(), beta)
-            columns[m] = tuple(s.eval(t) for t in grid)
+            columns[m] = approximants.tabulated(m.upper(), beta).eval(ts)
 
     period = None
     if "oracle" in methods:
         # i*dt can round a few ulps past t_max; the horizon covers the grid
         traj = oracle.integrate(beta, max(t_max, grid[-1], 20.0))
-        columns["oracle"] = tuple(traj.sample_on_grid(grid))
+        columns["oracle"] = traj.sample_on_grid(ts)
         period = oracle.period(traj)
 
+    columns = {m: tuple(np.asarray(v).tolist()) for m, v in columns.items()}
     return ComparisonReport(beta=beta, grid=grid, columns=columns, oracle_period=period)
+
+
+def ladm_column(beta: float, n_terms: int, ts) -> np.ndarray:
+    """The n_terms oscillator series at each time in ts, as an array.
+
+    Past some t the terms t^k/k! overflow and the sum turns to inf or nan;
+    that is refused with a DomainError naming the first such t.
+    """
+    p = oscillator_series(beta, n_terms).full_sum()
+    ts = np.asarray(ts, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        xs = p.eval(ts)
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise DomainError(f"the {n_terms}-term series overflows at t={ts[bad[0]]}")
+    return xs
 
 
 def sweep_csv(beta_min: float, beta_max: float, steps: int) -> str:

@@ -76,8 +76,8 @@ class TimePolynomial:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, t: float) -> float:
-        """Evaluate at t, accumulating t^k/k! by term ratios t/k."""
+    def eval(self, t):
+        """Evaluate at t (a float or an array), accumulating t^k/k! by term ratios t/k."""
         total = 0.0
         power = 1.0  # running t^k / k!
         last_k = 0

@@ -6,7 +6,12 @@ One <polyline> per data series; axes and legend swatches use <line> and
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
+
+import numpy as np
+
+from .errors import DomainError
 
 WIDTH, HEIGHT = 720, 480
 MARGIN = 60
@@ -23,7 +28,11 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 def render_lines(
     series: dict[str, tuple[list[float], list[float]]], title: str
 ) -> str:
-    """Build an SVG document; series maps label -> (xs, ys)."""
+    """Build an SVG document; series maps label -> (xs, ys).
+
+    Data whose padded x or y span is not a positive finite float cannot be
+    scaled to pixels and raises DomainError.
+    """
     all_x = [x for xs, _ in series.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
 
@@ -34,11 +43,13 @@ def render_lines(
     (x_lo, x_hi), (y_lo, y_hi) = span(all_x), span(all_y)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not all(0.0 < s < math.inf for s in (x_hi - x_lo, y_hi - y_lo)):
+        raise DomainError("the data span does not fit the float range; cannot scale the plot")
 
-    def px(x: float) -> float:
+    def px(x):
         return MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
 
-    def py(y: float) -> float:
+    def py(y):
         return HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
     out = [
@@ -66,7 +77,8 @@ def render_lines(
         )
     for i, (label, (xs, ys)) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        pixels = zip(px(np.asarray(xs)).tolist(), py(np.asarray(ys)).tolist())
+        pts = " ".join(map("%.2f,%.2f".__mod__, pixels))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

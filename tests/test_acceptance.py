@@ -25,7 +25,6 @@ from ladm import (
     hbm,
     hbm_frequency,
     integrate,
-    lambda_expansion_oracle,
     oscillator_series,
     series_frequency,
     solve_ivp,
@@ -99,7 +98,7 @@ def test_criterion_04_generic_adomian_engine(capsys):
     with capsys.disabled():
         import random
 
-        from test_adomian import ORACLE_H, closed_form_sequence
+        from test_adomian import ORACLE_H, closed_form_sequence, lambda_expansion_oracle
 
         rng = random.Random(42)
         max_deg = 12

@@ -9,7 +9,6 @@ from ladm import (
     IVPSpec,
     TimePolynomial as TP,
     adomian_polynomials,
-    lambda_expansion_oracle,
     oscillator_kappa,
 )
 from ladm.adomian import _compose_derivative
@@ -20,6 +19,42 @@ NONLINEARITIES = [NL.power(2), NL.power(3), NL.exp()]
 # finite-difference step per derivative order; rounding error ~eps/h^n makes
 # the 1e-4 default unusable above order 2
 ORACLE_H = {0: 1e-4, 1: 1e-4, 2: 1e-4, 3: 1e-2, 4: 1e-2}
+
+# Central finite-difference stencils for d^n/dh^n, O(h^4) accurate.
+# Keys: order n -> list of (offset multiple of h, weight); divide by h^n.
+_STENCILS = {
+    0: [(0.0, 1.0)],
+    1: [(-2.0, 1 / 12), (-1.0, -8 / 12), (1.0, 8 / 12), (2.0, -1 / 12)],
+    2: [(-2.0, -1 / 12), (-1.0, 16 / 12), (0.0, -30 / 12), (1.0, 16 / 12), (2.0, -1 / 12)],
+    3: [(-3.0, 1 / 8), (-2.0, -1.0), (-1.0, 13 / 8), (1.0, -13 / 8), (2.0, 1.0), (3.0, -1 / 8)],
+    4: [(-3.0, -1 / 6), (-2.0, 2.0), (-1.0, -13 / 2), (0.0, 28 / 3), (1.0, -13 / 2), (2.0, 2.0),
+        (3.0, -1 / 6)],
+}
+
+
+def lambda_expansion_oracle(nonlin, components, order, t_probe, h=1e-4):
+    """Estimate A_0(t_probe)..A_order(t_probe) by finite differences in lambda.
+
+    Differentiates g(lambda) = N(sum_i x_i(t_probe) lambda^i) with central
+    stencils; independent of the series-composition machinery, so it serves
+    as a ground-truth check for ``adomian_polynomials``.  Rounding limits
+    the usable h: orders 3-4 need h around 1e-2 rather than the 1e-4 that
+    suits orders <= 2.
+    """
+    if h <= 0:
+        raise DomainError("h must be positive")
+    vals = [p.eval(t_probe) for p in components]
+
+    def g(lam):
+        return nonlin.deriv(sum(v * lam**i for i, v in enumerate(vals)), 0)
+
+    out = []
+    for n in range(order + 1):
+        if n not in _STENCILS:
+            raise DomainError("oracle supports orders 0..4")
+        dn = sum(w * g(off * h) for off, w in _STENCILS[n]) / h**n
+        out.append(dn / math.factorial(n))
+    return out
 
 
 def closed_form_sequence(nonlin, comps, max_degree):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ladm import (
@@ -15,18 +16,18 @@ from ladm import (
 class TestHBM:
     def test_beta_01_instance(self):
         s = hbm(0.1)
-        assert s.fundamental_frequency == pytest.approx((1.98 / 1.99) ** 0.25, rel=1e-15)
+        assert s.terms[0][1] == pytest.approx((1.98 / 1.99) ** 0.25, rel=1e-15)
         assert s.terms[0][0] == pytest.approx(0.10025, abs=5e-4)
 
     def test_beta_02_instance(self):
         s = hbm(0.2)
         assert s.terms[0][0] == pytest.approx(0.202, abs=5e-4)
-        assert s.fundamental_frequency == pytest.approx(0.995, abs=2e-3)
+        assert s.terms[0][1] == pytest.approx(0.995, abs=2e-3)
 
     def test_nonrelativistic_limit(self):
         beta = 1e-5
         s = hbm(beta)
-        assert s.fundamental_frequency == pytest.approx(1.0, abs=1e-9)
+        assert s.terms[0][1] == pytest.approx(1.0, abs=1e-9)
         assert s.terms[0][0] == pytest.approx(beta, rel=1e-8)
         assert abs(s.terms[1][0]) < beta**3
         for t in (0.5, 2.0):
@@ -76,6 +77,21 @@ class TestEval:
         assert tabulated("DTM", 0.1).eval(1.0) == pytest.approx(
             0.08430933003361425, rel=1e-12
         )
+
+    @pytest.mark.parametrize("method, beta", [("hbm", 0.1), ("hbm", 0.5), ("hbm", 0.9),
+                                              ("DTM", 0.1), ("HPM", 0.2)])
+    def test_array_matches_left_to_right_math_sin(self, method, beta):
+        # explicit sums, not sum(): Python >= 3.12 compensates sum() of floats
+        s = hbm(beta) if method == "hbm" else tabulated(method, beta)
+        ts = np.concatenate([np.linspace(0.0, 20.0, 2001),
+                             np.random.default_rng(5).uniform(-1e3, 1e3, 2000)])
+        want = []
+        for t in ts.tolist():
+            total = 0.0
+            for a, w in s.terms:
+                total = total + a * math.sin(w * t)
+            want.append(total)
+        assert s.eval(ts).tolist() == want
 
     def test_odd_in_t(self):
         s = hbm(0.3)

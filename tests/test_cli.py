@@ -120,6 +120,15 @@ class TestCompareCommand:
                      "--methods", "hbm,oracle", "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_series_overflow_exit_3(self, tmp_path, capsys):
+        # t^k/k! overflows; this used to write nan columns with exit 0
+        out = tmp_path / "x.csv"
+        argv = ["compare", "--beta", "0.5", "--t-max", "10000", "--dt", "5000",
+                "--terms", "1000", "--methods", "ladm,hbm", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: the 1000-term series overflows at t=5000.0\n")
+        assert not out.exists()
+
     def test_untabulated_method_exit_3(self, tmp_path):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
@@ -232,6 +241,13 @@ class TestDimensionalCommand:
         out, err = capsys.readouterr()
         assert out == "" and "finite" in err
 
+    def test_series_overflow_exit_3(self, capsys):
+        # this used to print nan in the x columns with exit 0
+        argv = ["dimensional", "--beta", "0.1", "--omega0", "1", "--c", "1",
+                "--t-max", "1e300", "--dt", "1e300"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: the 14-term series overflows at t=1e+300\n")
+
     @pytest.mark.parametrize("dt", ["0", "-0.5"])
     def test_nonpositive_dt_exit_3(self, dt, capsys):
         argv = ["dimensional", "--beta", "0.1", "--omega0", "1", "--c", "1", "--dt", dt]
@@ -287,6 +303,18 @@ class TestReportHelpers:
         assert back.to_csv() == rep.to_csv()
         assert back.errors == rep.errors
 
+    @pytest.mark.parametrize("beta, methods", [(0.1, ALL_METHODS), (0.5, ("ladm", "hbm", "oracle")),
+                                               (0.2, ("ladm", "dtm"))])
+    def test_csv_and_errors_match_row_loop(self, beta, methods):
+        rep = build_report(beta, t_max=20.0, dt=0.05, methods=methods)
+        assert all(type(x) is float for v in rep.columns.values() for x in v)
+        assert rep.to_csv() == _row_loop_csv(rep)
+        ref = rep.columns.get("oracle")
+        diffs = {m: [abs(a - b) for a, b in zip(v, ref)]
+                 for m, v in rep.columns.items() if ref and m != "oracle"}
+        assert rep.errors == {m: (max(d), math.sqrt(sum(e * e for e in d) / len(d)))
+                              for m, d in diffs.items()}
+
     def test_from_json_recomputes_errors(self):
         rep = build_report(0.1, t_max=3.0, dt=0.5, methods=("ladm", "oracle"))
         payload = json.loads(rep.to_json())
@@ -323,6 +351,20 @@ class TestReportHelpers:
             sweep_csv(0.2, 0.1, 5)
         with pytest.raises(errors.DomainError):
             sweep_csv(0.1, 0.2, 1)
+
+
+def _row_loop_csv(rep):
+    """Reference: the CSV built one row and one formatted value at a time."""
+    methods = rep.method_names()
+    ref = rep.columns.get("oracle")
+    err = {m: [abs(a - b) for a, b in zip(rep.columns[m], ref)]
+           for m in methods if ref and m != "oracle"}
+    lines = [",".join(["t"] + methods + [f"err_{m}" for m in err])]
+    for i, t in enumerate(rep.grid):
+        row = ["%.12e" % t] + ["%.12e" % rep.columns[m][i] for m in methods]
+        row += ["%.12e" % err[m][i] for m in err]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 class TestFileErrors:
@@ -380,17 +422,24 @@ class TestFileErrors:
             (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
              b'{"beta": "0.1", "grid": [0, 1], "columns": {"ladm": [0, 1]}, '
              b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": [1.7e308, -1.7e308]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [1e300], "columns": {"ladm": [0.5]}, '
+             b'"frequency_summary": {}}', 3),
         ],
         ids=["compare-out-dir", "sweep-out-dir", "plot-in-missing", "plot-no-grid",
              "plot-not-json", "plot-not-utf8", "plot-non-numeric", "plot-short-column",
              "plot-unknown-method", "plot-empty", "plot-grid-nan", "plot-grid-inf",
              "plot-column-overflow", "plot-column-nan", "plot-column-neg-inf",
              "plot-period-inf", "plot-period-nan", "plot-period-zero", "plot-beta-2",
-             "plot-beta-string"],
+             "plot-beta-string", "plot-span-overflow", "plot-span-zero"],
     )
     def test_exit_code_and_message(self, argv, content, code, tmp_path, capsys):
-        # the first four used to exit 1 with a traceback; the non-finite
-        # values used to render nan coordinates with exit 0
+        # the first four and plot-span-zero used to exit 1 with a traceback;
+        # the non-finite values and plot-span-overflow used to render nan
+        # coordinates with exit 0
         if content is not None:
             (tmp_path / "rep.json").write_bytes(content)
         assert main([a.format(d=tmp_path) for a in argv]) == code

@@ -16,7 +16,7 @@ from ladm import (
     oracle,
     period,
 )
-from ladm.oracle import MAX_T_END, _rhs
+from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, TOL, _dense, _rhs
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -70,6 +70,15 @@ class TestIntegrate:
         ts = np.linspace(0.0, 100.0, 4001)
         vs = traj.interpolant(ts)[1]
         assert np.max(np.abs(vs)) <= beta + 1e-9
+
+    @pytest.mark.parametrize("beta, t_end", [(0.1, 20.0), (0.5, 30.0), (0.9, 100.0)])
+    def test_energy_drift_matches_scipy_dense_output(self, beta, t_end):
+        # the monitor as it was computed from scipy's own OdeSolution call
+        res = scipy_ivp(_rhs, (0.0, t_end), [0.0, beta], method="DOP853",
+                        rtol=TOL, atol=TOL, dense_output=True)
+        x, v = res.sol(np.union1d(res.t, np.linspace(0.0, t_end, _MONITOR_SAMPLES)))
+        e = 1.0 / np.sqrt(1.0 - v**2) + 0.5 * x**2
+        assert integrate(beta, t_end).energy_drift == float(np.max(np.abs(e - energy(0.0, beta))))
 
     def test_samples_strictly_increasing(self, long_trajectories):
         ts = [t for t, _, _ in long_trajectories[0.2].samples]
@@ -178,6 +187,27 @@ class TestSampling:
         a = traj.sample_on_grid(ts)
         b = _dop853_positions(0.2, 10.0, 1e-13, ts)
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-9
+
+
+class TestDense:
+    @pytest.mark.parametrize("t_end", [3.0, 20.0, 100.0])
+    @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.77, 0.9])
+    def test_matches_interpolant_bit_for_bit(self, beta, t_end):
+        traj = integrate(beta, t_end)
+        steps = traj.interpolant.ts
+        rng = np.random.default_rng(11)
+        ts = np.concatenate([rng.uniform(0.0, t_end, 500), steps, steps[::4],  # repeats
+                             [0.0, t_end, 0.0, t_end]])
+        ts = rng.permutation(ts)
+        got, want = _dense(traj.interpolant, ts), traj.interpolant(ts)
+        assert got.shape == want.shape == (2, ts.size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_and_empty(self, long_trajectories):
+        sol = long_trajectories[0.2].interpolant
+        for t in (0.0, sol.ts[5], 37.25, 100.0):
+            assert _dense(sol, [t])[:, 0].tobytes() == sol(t).tobytes()
+        assert _dense(sol, []).shape == (2, 0)
 
 
 class TestPeriod:

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ladm import TimePolynomial as TP
+import numpy as np
+
+from ladm import TimePolynomial as TP, oscillator_series
 
 
 def poly_strategy(max_deg=8):
@@ -31,6 +33,19 @@ class TestEval:
         # t^27/27! evaluated by term ratios, never raw factorials
         p = TP.monomial(27, 1.0)
         assert p.eval(5.0) == pytest.approx(5.0**27 / math.factorial(27), rel=1e-12)
+
+    @pytest.mark.parametrize("beta, n_terms", [(0.1, 14), (0.5, 14), (0.9, 1000)])
+    def test_array_matches_scalar_loop(self, beta, n_terms):
+        p = oscillator_series(beta, n_terms).full_sum()
+        ts = np.concatenate([np.linspace(0.0, 20.0, 1001),
+                             np.random.default_rng(3).uniform(-30.0, 30.0, 500)])
+        got = p.eval(ts)
+        assert got.tolist() == [p.eval(t) for t in ts.tolist()]
+
+    @given(poly_strategy(12), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+    def test_array_matches_scalar_loop_sparse(self, p, ts):
+        got = np.broadcast_to(p.eval(np.array(ts)), (len(ts),))
+        assert got.tolist() == [p.eval(t) for t in ts]
 
 
 class TestAlgebra:
