@@ -82,9 +82,13 @@ def cmd_dimensional(args) -> int:
         raise DomainError("omega0 and c must be positive and finite")
     grid = report.make_grid(args.t_max, args.dt)
     xs = report.ladm_column(args.beta, args.terms, grid).tolist()
+    rows = [(t, x, t / args.omega0, args.c * x / args.omega0) for t, x in zip(grid, xs)]
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"the dimensional values overflow at t={row[0]}")
     print("t,x,t_dimensional,x_dimensional")
-    for t, x in zip(grid, xs):
-        print(",".join(_fmt(v) for v in (t, x, t / args.omega0, args.c * x / args.omega0)))
+    for row in rows:
+        print(",".join(map(_fmt, row)))
     return 0
 
 
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="oscillation period from the oracle")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--t-end", type=float, default=30.0)
+    p.add_argument("--t-end", type=float, default=oracle.PERIOD_HORIZON)
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("dimensional", help="map dimensionless samples to physical units")

@@ -23,6 +23,7 @@ from .errors import DomainError, InsufficientHorizonError, OracleError
 _MONITOR_SAMPLES = 2048  # uniform refinement used for the energy/speed monitor
 MAX_T_END = 1e4  # at beta 0.5 this horizon takes ~20 s and ~200 MB on a 2-core host
 TOL = 1e-12  # DOP853 relative and absolute tolerance
+PERIOD_HORIZON = 20.0  # default horizon for a period: one period is at most 20 up to beta ~0.9967
 
 
 def energy(x: float, v: float) -> float:
@@ -118,31 +119,22 @@ def integrate(beta: float, t_end: float) -> OracleTrajectory:
 
 
 def period(traj: OracleTrajectory) -> float:
-    """Oscillation period of ``traj`` from successive upward zero crossings of x(t).
+    """Oscillation period of ``traj``: the time of its first upward zero crossing after t = 0.
 
-    Crossings are located by a sign scan of dense output, evaluated in one
-    array pass, and the first two brackets are refined by scalar
-    bisection to 1e-12 in t.  Needs a horizon covering at least two
-    crossings after t = 0.
+    x(0) = 0 and x'(0) = beta > 0, so x first returns upward through zero
+    after one period.  The crossing is bracketed by the first pair of
+    accepted steps where x goes from < 0 to >= 0 (x(0) = 0 opens none) and
+    refined by scalar bisection of the dense output to 1e-12 in t.
     """
-    x = lambda t: float(traj.interpolant(t)[0])
-    t_end = traj.t_end
-    ts = np.linspace(0.0, t_end, max(64, int(t_end * 40)))
-    xs = _dense(traj.interpolant, ts)[0]
-    # bracket i is [ts[i], ts[i+1]]; i = 0 holds the starting crossing x(0) = 0
-    brackets = np.flatnonzero((xs[1:-1] < 0.0) & (xs[2:] >= 0.0)) + 1
-    if brackets.size < 2:
-        raise InsufficientHorizonError(
-            f"fewer than two upward zero crossings in [0, {t_end}]; extend t_end"
-        )
-    crossings = []
-    for i in brackets[:2]:
-        lo, hi = ts[i], ts[i + 1]
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if x(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-    return float(crossings[1] - crossings[0])
+    ts, xs, _ = np.array(traj.samples).T
+    up = np.flatnonzero((xs[:-1] < 0.0) & (xs[1:] >= 0.0))
+    if not up.size:
+        raise InsufficientHorizonError(f"no upward zero crossing in (0, {traj.t_end}]")
+    lo, hi = ts[up[0]], ts[up[0] + 1]
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if traj.interpolant(mid)[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))

@@ -151,7 +151,7 @@ def build_report(
     period = None
     if "oracle" in methods:
         # i*dt can round a few ulps past t_max; the horizon covers the grid
-        traj = oracle.integrate(beta, max(t_max, grid[-1], 20.0))
+        traj = oracle.integrate(beta, max(t_max, grid[-1], oracle.PERIOD_HORIZON))
         columns["oracle"] = traj.sample_on_grid(ts)
         period = oracle.period(traj)
 

@@ -128,9 +128,6 @@ class TimePolynomial:
                 out[n] = out.get(n, 0.0) + math.comb(n, ka) * a * b
         return TimePolynomial(tuple(out.items()))
 
-    def truncate(self, max_degree: int) -> "TimePolynomial":
-        return TimePolynomial(tuple((k, c) for k, c in self.terms if k <= max_degree))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "TimePolynomial(0)"

@@ -95,7 +95,7 @@ def solve_ivp(spec: IVPSpec, n_terms: int) -> SeriesSolution:
     components = [x0]
     for n in range(n_terms - 1):
         a_n = adomian_polynomials(spec.nonlinearity, components, n, max_degree)[n]
-        components.append(-a_n.double_integrate().truncate(max_degree + 2))
+        components.append(-a_n.double_integrate())
     return SeriesSolution(components=tuple(components))
 
 
@@ -134,12 +134,8 @@ def tail_bound(beta: float, n_terms: int, t: float) -> float:
             f"alternating-series condition fails at t={t}; bound not rigorous",
             stacklevel=2,
         )
-    # accumulate |t|^(2n+1)/(2n+1)! by ratios to avoid overflow
-    power = 1.0
-    at = abs(t)
-    for j in range(1, 2 * n_terms + 2):
-        power *= at / j
-    return beta * kappa**n_terms * power
+    # |t|^(2n+1)/(2n+1)!, accumulated by ratios to avoid overflow
+    return beta * kappa**n_terms * TimePolynomial.monomial(2 * n_terms + 1, 1.0).eval(abs(t))
 
 
 def residual(beta: float, n_terms: int, t: float) -> float:

@@ -10,6 +10,7 @@ from ladm import ComparisonReport, DomainError, build_report, sweep_csv
 from ladm.cli import main
 from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
 from ladm.solver import MAX_TERMS
+from test_oracle import _quadrature_period
 
 EXIT_CODES = {0, 1, 2, 3, 4}  # as documented in ladm.cli
 
@@ -203,6 +204,30 @@ class TestPeriodCommand:
         assert out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("beta", ["0.945", "0.97", "0.99"])
+class TestNearLightSpeed:
+    """One period fits the default horizons up to beta ~0.9967; these betas
+    used to exit 4 because two periods had to."""
+
+    def test_period(self, beta, capsys):
+        assert main(["period", "--beta", beta]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(_quadrature_period(float(beta)), rel=1e-10)
+
+    def test_compare(self, beta, tmp_path):
+        out, js = tmp_path / "c.csv", tmp_path / "c.json"
+        assert main(["compare", "--beta", beta, "--t-max", "5", "--dt", "0.1", "--methods",
+                     "ladm,oracle", "--out", str(out), "--json", str(js)]) == 0
+        p = json.loads(js.read_text())["frequency_summary"]["oracle_period"]
+        assert p == pytest.approx(_quadrature_period(float(beta)), rel=1e-10)
+
+    def test_sweep(self, beta, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--beta-min", "0.9", "--beta-max", beta, "--steps", "2",
+                     "--out", str(out)]) == 0
+        p = float(out.read_text().splitlines()[-1].split(",")[-1])
+        assert p == pytest.approx(_quadrature_period(float(beta)), rel=1e-10)
+
+
 class TestDimensionalCommand:
     def test_identity_mapping(self, capsys):
         main(["dimensional", "--beta", "0.1", "--omega0", "1", "--c", "1",
@@ -247,6 +272,15 @@ class TestDimensionalCommand:
                 "--t-max", "1e300", "--dt", "1e300"]
         assert main(argv) == 3
         assert capsys.readouterr() == ("", "error: the 14-term series overflows at t=1e+300\n")
+
+    @pytest.mark.parametrize("omega0, c", [("1e-310", "1"), ("1e-3", "1e308")],
+                             ids=["t_dimensional", "x_dimensional"])
+    def test_dimensional_overflow_exit_3(self, omega0, c, capsys):
+        # t / omega0 and c x / omega0 used to print inf with exit 0
+        argv = ["dimensional", "--beta", "0.1", "--omega0", omega0, "--c", c,
+                "--t-max", "1", "--dt", "0.5"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: the dimensional values overflow at t=0.5\n")
 
     @pytest.mark.parametrize("dt", ["0", "-0.5"])
     def test_nonpositive_dt_exit_3(self, dt, capsys):
