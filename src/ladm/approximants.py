@@ -7,6 +7,7 @@ the literature, with no re-derivation of the underlying methods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,10 @@ _TABULATED: dict[tuple[str, float], tuple[tuple[float, float], ...]] = {
 
 
 def tabulated(method: str, beta: float) -> SinusoidSum:
-    """Printed approximant for (method, beta); only beta in {0.1, 0.2} exists."""
-    key = (method.upper(), beta)
-    if key not in _TABULATED:
-        raise NotTabulatedError(
-            f"no tabulated {method} approximant at beta={beta}; "
-            f"available: {sorted(_TABULATED)}"
-        )
-    return SinusoidSum(terms=_TABULATED[key])
+    """Printed approximant for (method, beta); beta matches 0.1 or 0.2 to a relative 1e-12."""
+    for (m, b), terms in _TABULATED.items():
+        if m == method.upper() and math.isclose(beta, b, rel_tol=1e-12):
+            return SinusoidSum(terms=terms)
+    raise NotTabulatedError(
+        f"no tabulated {method} approximant at beta={beta}; available: {sorted(_TABULATED)}"
+    )

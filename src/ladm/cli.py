@@ -72,7 +72,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_period(args) -> int:
-    traj = oracle.integrate(args.beta, args.t_end)
+    traj = oracle.integrate(args.beta, args.t_end, until=0.0)  # stop once one period closes
     print(_fmt(oracle.period(traj)))
     return 0
 

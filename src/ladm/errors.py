@@ -12,6 +12,8 @@ class DomainError(LadmError, ValueError):
 class NotTabulatedError(LadmError, KeyError):
     """No tabulated approximant exists for the requested (method, beta) pair."""
 
+    __str__ = Exception.__str__  # the plain message, not KeyError's quoted repr
+
 
 class OracleError(LadmError, RuntimeError):
     """The reference integrator failed to produce a trajectory."""

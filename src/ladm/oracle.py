@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
+from scipy.integrate import DOP853, OdeSolution
 
 from .errors import DomainError, InsufficientHorizonError, OracleError
 
@@ -83,39 +83,45 @@ def _rhs(t, y):
     return [v, -((1.0 - v * v) ** 1.5) * x]
 
 
-def integrate(beta: float, t_end: float) -> OracleTrajectory:
-    """Integrate the oscillator from (x, v) = (0, beta) to t_end at tolerance TOL."""
+def integrate(beta: float, t_end: float, until: float | None = None) -> OracleTrajectory:
+    """Integrate the oscillator from (x, v) = (0, beta) towards t_end at tolerance TOL.
+
+    Stepping stops at the first accepted step at or past ``until`` (default
+    t_end) once the samples bracket the first upward zero crossing, x < 0
+    then >= 0.  The solver's bound stays t_end, so the samples are a
+    prefix of the full run's, bit for bit.
+    """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if not 0 < t_end <= MAX_T_END:
         raise DomainError(f"oracle horizon t_end must be finite and in (0, {MAX_T_END:g}]")
+    until = t_end if until is None else until
     try:
-        res = _scipy_solve_ivp(
-            _rhs,
-            (0.0, t_end),
-            [0.0, beta],
-            method="DOP853",
-            rtol=TOL,
-            atol=TOL,
-            dense_output=True,
-        )
+        solver = DOP853(_rhs, 0.0, [0.0, beta], float(t_end), rtol=TOL, atol=TOL)
+        ts, ys, steps, closed = [0.0], [[0.0, beta]], [], False
+        while solver.status == "running" and not (closed and ts[-1] >= until):
+            message = solver.step()
+            if solver.status == "failed":
+                raise OracleError(f"integration failed for beta={beta}: {message}")
+            ts.append(solver.t)
+            ys.append(solver.y)
+            steps.append(solver.dense_output())
+            closed = closed or ys[-2][0] < 0.0 <= ys[-1][0]
     except (ValueError, FloatingPointError) as exc:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
-    if not res.success:
-        raise OracleError(f"integration failed for beta={beta}: {res.message}")
-    xs, vs = res.y
+    xs, vs = np.array(ys).T
     if np.any(np.abs(vs) >= 1.0):
         i = int(np.argmax(np.abs(vs)))
-        raise OracleError(f"speed bound violated at t={res.t[i]}: v={vs[i]}")
+        raise OracleError(f"speed bound violated at t={ts[i]}: v={vs[i]}")
 
-    # energy drift on accepted steps plus a uniform refinement
-    tgrid = np.union1d(res.t, np.linspace(0.0, t_end, _MONITOR_SAMPLES))
-    dense = _dense(res.sol, tgrid)
+    # energy drift on accepted steps plus a uniform refinement of the integrated span
+    sol = OdeSolution(ts, steps)
+    dense = _dense(sol, np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
     e = 1.0 / np.sqrt(1.0 - dense[1] ** 2) + 0.5 * dense[0] ** 2
     drift = float(np.max(np.abs(e - energy(0.0, beta))))
 
-    samples = tuple((float(t), float(x), float(v)) for t, x, v in zip(res.t, xs, vs))
-    return OracleTrajectory(samples=samples, interpolant=res.sol, energy_drift=drift)
+    samples = tuple((float(t), float(x), float(v)) for t, x, v in zip(ts, xs, vs))
+    return OracleTrajectory(samples=samples, interpolant=sol, energy_drift=drift)
 
 
 def period(traj: OracleTrajectory) -> float:

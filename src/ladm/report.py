@@ -150,8 +150,8 @@ def build_report(
 
     period = None
     if "oracle" in methods:
-        # i*dt can round a few ulps past t_max; the horizon covers the grid
-        traj = oracle.integrate(beta, max(t_max, grid[-1], oracle.PERIOD_HORIZON))
+        # i*dt can round a few ulps past t_max; stepping stops past the grid and one period
+        traj = oracle.integrate(beta, max(t_max, grid[-1], oracle.PERIOD_HORIZON), grid[-1])
         columns["oracle"] = traj.sample_on_grid(ts)
         period = oracle.period(traj)
 

@@ -62,6 +62,24 @@ class TestTabulated:
         with pytest.raises(NotTabulatedError):
             tabulated("XYZ", 0.1)
 
+    @pytest.mark.parametrize("method", ["DTM", "HPM", "HBM"])
+    @pytest.mark.parametrize("beta, printed", [(0.1 + 0.2 - 0.2, 0.1), (0.3 - 0.1, 0.2),
+                                               (0.1 * (1 + 1e-13), 0.1)])
+    def test_beta_matches_to_rounding(self, method, beta, printed):
+        # 0.1 + 0.2 - 0.2 == 0.10000000000000003 used to be untabulated
+        assert tabulated(method, beta) == tabulated(method, printed)
+
+    @pytest.mark.parametrize("beta", [0.1 * (1 + 1e-11), 0.2 * (1 - 1e-11), math.nan])
+    def test_beta_off_by_more_than_rounding(self, beta):
+        with pytest.raises(NotTabulatedError):
+            tabulated("DTM", beta)
+
+    def test_error_message_is_plain(self):
+        with pytest.raises(NotTabulatedError) as exc:
+            tabulated("DTM", 0.3)
+        assert isinstance(exc.value, KeyError)  # the hierarchy is kept
+        assert str(exc.value).startswith("no tabulated DTM approximant at beta=0.3;")
+
 
 class TestEval:
     def test_zero_at_origin(self):

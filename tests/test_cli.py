@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ladm import ComparisonReport, DomainError, build_report, sweep_csv
+from ladm import ComparisonReport, DomainError, build_report, integrate, oracle, period, sweep_csv
 from ladm.cli import main
+from ladm.oracle import PERIOD_HORIZON
 from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
 from ladm.solver import MAX_TERMS
 from test_oracle import _quadrature_period
@@ -130,10 +131,12 @@ class TestCompareCommand:
         assert capsys.readouterr() == ("", "error: the 1000-term series overflows at t=5000.0\n")
         assert not out.exists()
 
-    def test_untabulated_method_exit_3(self, tmp_path):
+    def test_untabulated_method_exit_3(self, tmp_path, capsys):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+        # the plain message, not KeyError's quoted repr of it
+        assert capsys.readouterr().err.startswith("error: no tabulated DTM approximant at beta=0.3;")
 
 
 class TestSweepCommand:
@@ -195,6 +198,21 @@ class TestPeriodCommand:
     def test_prints_period(self, capsys):
         assert main(["period", "--beta", "0.1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(6.295, abs=1e-2)
+
+    def test_long_horizon_stops_after_one_period(self, monkeypatch, capsys):
+        steps = []
+
+        def spy(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            steps.append(len(traj.samples))
+            return traj
+
+        monkeypatch.setattr(oracle, "integrate", spy)
+        assert main(["period", "--beta", "0.5", "--t-end", "1000"]) == 0
+        long_out = capsys.readouterr()
+        assert main(["period", "--beta", "0.5", "--t-end", "20"]) == 0
+        assert capsys.readouterr() == long_out
+        assert len(steps) == 2 and steps[0] <= steps[1]
 
     @pytest.mark.parametrize("t_end", ["inf", "nan"])
     def test_non_finite_t_end_exit_3(self, t_end, capsys):
@@ -348,6 +366,15 @@ class TestReportHelpers:
                  for m, v in rep.columns.items() if ref and m != "oracle"}
         assert rep.errors == {m: (max(d), math.sqrt(sum(e * e for e in d) / len(d)))
                               for m, d in diffs.items()}
+
+    @settings(max_examples=15, deadline=None)
+    @given(beta=st.floats(0.05, 0.996), t_max=st.floats(0.05, 25.0), dt=st.floats(0.05, 5.0))
+    def test_oracle_matches_full_horizon_trajectory(self, beta, t_max, dt):
+        # build_report stops stepping past the grid and one period
+        rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
+        full = integrate(beta, max(t_max, rep.grid[-1], PERIOD_HORIZON))
+        assert rep.columns["oracle"] == tuple(full.sample_on_grid(rep.grid))
+        assert rep.oracle_period == period(full)
 
     def test_from_json_recomputes_errors(self):
         rep = build_report(0.1, t_max=3.0, dt=0.5, methods=("ladm", "oracle"))

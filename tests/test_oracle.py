@@ -126,13 +126,66 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="t_end"):
             integrate(0.5, np.nextafter(MAX_T_END, math.inf))
 
-        # the cap itself passes the check and reaches the integrator
-        def scipy_reached(*args, **kwargs):
+        # the cap itself passes the check and reaches the integrator as its bound
+        bounds = []
+
+        def dop853_reached(fun, t0, y0, t_bound, **kwargs):
+            bounds.append(t_bound)
             raise ValueError("integrator reached")
 
-        monkeypatch.setattr(oracle, "_scipy_solve_ivp", scipy_reached)
+        monkeypatch.setattr(oracle, "DOP853", dop853_reached)
         with pytest.raises(OracleError, match="integrator reached"):
             integrate(0.5, MAX_T_END)
+        assert bounds == [MAX_T_END]
+
+
+class TestStopRule:
+    """``integrate(..., until=u)`` stops at the first accepted step at or past u
+    once the samples bracket the first upward zero crossing."""
+
+    @staticmethod
+    def _first_up(samples):
+        xs = [x for _, x, _ in samples]
+        return next(i for i in range(len(xs) - 1) if xs[i] < 0.0 <= xs[i + 1])
+
+    @pytest.mark.parametrize("beta, until", [(1e-6, 0.0), (0.1, 0.0), (0.5, 3.0), (0.9, 0.0),
+                                             (0.99, 5.0), (0.2, 10.0), (0.5, 17.3)])
+    def test_samples_are_a_prefix_of_the_full_run(self, beta, until):
+        full, part = integrate(beta, PERIOD_HORIZON), integrate(beta, PERIOD_HORIZON, until)
+        n = len(part.samples)
+        assert n < len(full.samples)
+        assert part.samples == full.samples[:n]
+        assert part.interpolant.ts.tobytes() == full.interpolant.ts[:n].tobytes()
+        i = self._first_up(part.samples)
+        assert part.t_end >= until
+        if until < part.samples[i + 1][0]:
+            # the last two samples are the bracket that period bisects
+            assert i == n - 2
+        else:
+            # the first step at or past until, with the crossing already closed
+            assert part.samples[-2][0] < until
+
+    @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 0.996])
+    def test_period_at_until_zero_is_the_full_horizon_period(self, beta):
+        assert period(integrate(beta, PERIOD_HORIZON, until=0.0)) == period(
+            integrate(beta, PERIOD_HORIZON)
+        )
+
+    def test_without_a_crossing_runs_to_t_end(self):
+        traj = integrate(0.1, 3.0, until=0.0)
+        assert traj.samples == integrate(0.1, 3.0).samples
+        assert traj.t_end == 3.0
+
+    @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.9])
+    def test_energy_drift_covers_the_integrated_span(self, beta):
+        # scipy's own OdeSolution of the full run, over the span that was integrated
+        traj = integrate(beta, PERIOD_HORIZON, until=0.0)
+        ts = traj.interpolant.ts
+        full = scipy_ivp(_rhs, (0.0, PERIOD_HORIZON), [0.0, beta], method="DOP853",
+                         rtol=TOL, atol=TOL, dense_output=True)
+        x, v = full.sol(np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
+        e = 1.0 / np.sqrt(1.0 - v**2) + 0.5 * x**2
+        assert traj.energy_drift == float(np.max(np.abs(e - energy(0.0, beta))))
 
 
 class TestSampling:
