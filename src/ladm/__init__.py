@@ -8,13 +8,7 @@ reference integrator, and report builders behind the ``ladm`` CLI.
 
 from .adomian import AdomianSequence, AnalyticNonlinearity, adomian_polynomials
 from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
-from .errors import (
-    DomainError,
-    InsufficientHorizonError,
-    LadmError,
-    NotTabulatedError,
-    OracleError,
-)
+from .errors import DomainError, LadmError, NotTabulatedError, OracleError
 from .oracle import OracleTrajectory, energy, integrate, period
 from .report import ComparisonReport, build_report, sweep_csv
 from .series import TimePolynomial
@@ -37,7 +31,6 @@ __all__ = [
     "ComparisonReport",
     "DomainError",
     "IVPSpec",
-    "InsufficientHorizonError",
     "LadmError",
     "NotTabulatedError",
     "OracleError",

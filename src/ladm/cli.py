@@ -72,8 +72,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_period(args) -> int:
-    traj = oracle.integrate(args.beta, args.t_end, until=0.0)  # stop once one period closes
-    print(_fmt(oracle.period(traj)))
+    print(_fmt(oracle.period(oracle.integrate(args.beta))))
     return 0
 
 
@@ -131,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="oscillation period from the oracle")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--t-end", type=float, default=oracle.PERIOD_HORIZON)
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("dimensional", help="map dimensionless samples to physical units")

@@ -17,7 +17,3 @@ class NotTabulatedError(LadmError, KeyError):
 
 class OracleError(LadmError, RuntimeError):
     """The reference integrator failed to produce a trajectory."""
-
-
-class InsufficientHorizonError(OracleError):
-    """The integration horizon was too short for the requested measurement."""

@@ -1,13 +1,16 @@
 """Reference integration of the exact oscillator equation.
 
-Solves x'' + (1 - x'^2)^(3/2) x = 0 as the first-order system
-(x, v)' = (v, -(1 - v^2)^(3/2) x) with a high-order embedded adaptive
-pair (scipy's DOP853) and dense output.  The relativistic energy
+Solves x'' + (1 - x'^2)^(3/2) x = 0 through Hamilton's equations for the
+relativistic energy H = sqrt(1 + p^2) + x^2/2,
 
-    E = (1 - v^2)^(-1/2) + x^2 / 2
+    x' = p / sqrt(1 + p^2),    p' = -x,
 
-is an exact first integral and is tracked as a correctness monitor, never
-enforced.
+in units of the initial speed beta, (u, q) = (x, p) / beta, with a
+high-order embedded adaptive pair (scipy's DOP853) and dense output.  So
+the tolerance is relative to the amplitude for every beta, subnormal ones
+included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
+momentum p, and H is an exact first integral, tracked as a correctness
+monitor and never enforced.
 """
 
 from __future__ import annotations
@@ -18,42 +21,36 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
 
-from .errors import DomainError, InsufficientHorizonError, OracleError
+from .errors import DomainError, OracleError
 
-_MONITOR_SAMPLES = 2048  # uniform refinement used for the energy/speed monitor
-MAX_T_END = 1e4  # at beta 0.5 this horizon takes ~20 s and ~200 MB on a 2-core host
-TOL = 1e-12  # DOP853 relative and absolute tolerance
-PERIOD_HORIZON = 20.0  # default horizon for a period: one period is at most 20 up to beta ~0.9967
+_MONITOR_SAMPLES = 2048  # uniform refinement used for the energy monitor
+MAX_T_END = 1e4  # the solver's bound; at beta 0.5 reaching it takes ~10 s and ~130 MB on a 2-core host
+TOL = 1e-12  # DOP853 relative and absolute tolerance on (u, q) = (x, p) / beta
 
 
-def energy(x: float, v: float) -> float:
-    """Dimensionless relativistic energy (1 - v^2)^(-1/2) + x^2/2."""
-    if abs(v) >= 1.0:
-        raise DomainError(f"|v| must be < 1, got {v}")
-    return 1.0 / math.sqrt(1.0 - v * v) + 0.5 * x * x
+def energy(x, p):
+    """Dimensionless relativistic energy sqrt(1 + p^2) + x^2/2, for numbers or arrays."""
+    return np.hypot(1.0, p) + 0.5 * x * x
 
 
 @dataclass(frozen=True)
 class OracleTrajectory:
-    samples: tuple[tuple[float, float, float], ...]  # (t, x, v) at accepted steps
-    interpolant: object = field(repr=False)  # scipy OdeSolution
+    beta: float
+    samples: tuple[tuple[float, float, float], ...]  # (t, u, q) at accepted steps
+    interpolant: object = field(repr=False)  # scipy OdeSolution of (u, q)
     energy_drift: float = 0.0
-
-    @property
-    def t_end(self) -> float:
-        return self.samples[-1][0]
 
     def sample_on_grid(self, ts) -> list[float]:
         """Dense-output positions at each requested time, in one interpolant call.
 
-        The whole batch is rejected if any time is NaN or outside
-        [0, t_end]; the error names the first such time in input order.
+        The whole batch is rejected if any time is NaN or outside the
+        integrated span; the error names the first such time in input order.
         """
-        ts = np.asarray(ts, dtype=float)
-        bad = np.flatnonzero(~((ts >= 0.0) & (ts <= self.t_end)))
+        ts, t_last = np.asarray(ts, dtype=float), self.samples[-1][0]
+        bad = np.flatnonzero(~((ts >= 0.0) & (ts <= t_last)))
         if bad.size:
-            raise DomainError(f"t={ts[bad[0]]} outside [0, {self.t_end}]")
-        return _dense(self.interpolant, ts)[0].tolist()
+            raise DomainError(f"t={ts[bad[0]]} outside [0, {t_last}]")
+        return (self.beta * _dense(self.interpolant, ts)[0]).tolist()
 
 
 def _dense(sol, ts) -> np.ndarray:
@@ -78,27 +75,28 @@ def _dense(sol, ts) -> np.ndarray:
     return y.T
 
 
-def _rhs(t, y):
-    x, v = y
-    return [v, -((1.0 - v * v) ** 1.5) * x]
+def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
+    """Integrate the oscillator from x = 0 at speed beta, at tolerance TOL.
 
-
-def integrate(beta: float, t_end: float, until: float | None = None) -> OracleTrajectory:
-    """Integrate the oscillator from (x, v) = (0, beta) towards t_end at tolerance TOL.
-
-    Stepping stops at the first accepted step at or past ``until`` (default
-    t_end) once the samples bracket the first upward zero crossing, x < 0
-    then >= 0.  The solver's bound stays t_end, so the samples are a
-    prefix of the full run's, bit for bit.
+    The initial momentum is beta / sqrt((1 - beta)(1 + beta)).  Stepping
+    stops at the first accepted step at or past ``until`` once the samples
+    bracket the first upward zero crossing, x < 0 then >= 0, so the
+    trajectory covers [0, until] and one period.  The solver's bound is
+    always MAX_T_END, so a trajectory is a bit-for-bit prefix of any that
+    reaches further.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    if not 0 < t_end <= MAX_T_END:
-        raise DomainError(f"oracle horizon t_end must be finite and in (0, {MAX_T_END:g}]")
-    until = t_end if until is None else until
+    if not until <= MAX_T_END:
+        raise DomainError(f"oracle horizon must be finite and at most {MAX_T_END:g}, got {until}")
+
+    def rhs(t, y):  # (u, q)' = (q / sqrt(1 + (beta q)^2), -u)
+        return [y[1] / math.hypot(1.0, beta * y[1]), -y[0]]
+
+    y0 = [0.0, 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))]
     try:
-        solver = DOP853(_rhs, 0.0, [0.0, beta], float(t_end), rtol=TOL, atol=TOL)
-        ts, ys, steps, closed = [0.0], [[0.0, beta]], [], False
+        solver = DOP853(rhs, 0.0, y0, MAX_T_END, rtol=TOL, atol=TOL)
+        ts, ys, steps, closed = [0.0], [y0], [], False
         while solver.status == "running" and not (closed and ts[-1] >= until):
             message = solver.step()
             if solver.status == "failed":
@@ -109,19 +107,14 @@ def integrate(beta: float, t_end: float, until: float | None = None) -> OracleTr
             closed = closed or ys[-2][0] < 0.0 <= ys[-1][0]
     except (ValueError, FloatingPointError) as exc:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
-    xs, vs = np.array(ys).T
-    if np.any(np.abs(vs) >= 1.0):
-        i = int(np.argmax(np.abs(vs)))
-        raise OracleError(f"speed bound violated at t={ts[i]}: v={vs[i]}")
 
     # energy drift on accepted steps plus a uniform refinement of the integrated span
     sol = OdeSolution(ts, steps)
-    dense = _dense(sol, np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
-    e = 1.0 / np.sqrt(1.0 - dense[1] ** 2) + 0.5 * dense[0] ** 2
-    drift = float(np.max(np.abs(e - energy(0.0, beta))))
+    x, p = beta * _dense(sol, np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
+    drift = float(np.max(np.abs(energy(x, p) - energy(0.0, beta * y0[1]))))
 
-    samples = tuple((float(t), float(x), float(v)) for t, x, v in zip(ts, xs, vs))
-    return OracleTrajectory(samples=samples, interpolant=sol, energy_drift=drift)
+    samples = tuple((float(t), float(u), float(q)) for t, (u, q) in zip(ts, ys))
+    return OracleTrajectory(beta=beta, samples=samples, interpolant=sol, energy_drift=drift)
 
 
 def period(traj: OracleTrajectory) -> float:
@@ -129,16 +122,16 @@ def period(traj: OracleTrajectory) -> float:
 
     x(0) = 0 and x'(0) = beta > 0, so x first returns upward through zero
     after one period.  The crossing is bracketed by the first pair of
-    accepted steps where x goes from < 0 to >= 0 (x(0) = 0 opens none) and
-    refined by scalar bisection of the dense output to 1e-12 in t.
+    accepted steps where u = x/beta goes from < 0 to >= 0 (u(0) = 0 opens none) and
+    refined by scalar bisection of the dense output to 1e-12 in t, or
+    until no float lies strictly between the ends.
     """
-    ts, xs, _ = np.array(traj.samples).T
-    up = np.flatnonzero((xs[:-1] < 0.0) & (xs[1:] >= 0.0))
+    ts, us, _ = np.array(traj.samples).T
+    up = np.flatnonzero((us[:-1] < 0.0) & (us[1:] >= 0.0))
     if not up.size:
-        raise InsufficientHorizonError(f"no upward zero crossing in (0, {traj.t_end}]")
+        raise OracleError(f"no upward zero crossing in (0, {ts[-1]}]")
     lo, hi = ts[up[0]], ts[up[0] + 1]
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-12 and lo < (mid := 0.5 * (lo + hi)) < hi:
         if traj.interpolant(mid)[0] < 0.0:
             lo = mid
         else:

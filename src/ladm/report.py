@@ -37,6 +37,8 @@ class ComparisonReport:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:  # the frequencies are derived from it
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
+        if not self.columns:
+            raise DomainError(f"no method requested; choose from {ALL_METHODS}")
 
     def method_names(self) -> list[str]:
         return [m for m in ALL_METHODS if m in self.columns]
@@ -150,8 +152,7 @@ def build_report(
 
     period = None
     if "oracle" in methods:
-        # i*dt can round a few ulps past t_max; stepping stops past the grid and one period
-        traj = oracle.integrate(beta, max(t_max, grid[-1], oracle.PERIOD_HORIZON), grid[-1])
+        traj = oracle.integrate(beta, grid[-1])
         columns["oracle"] = traj.sample_on_grid(ts)
         period = oracle.period(traj)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import xml.dom.minidom
 
 import pytest
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 
 from ladm import ComparisonReport, DomainError, build_report, integrate, oracle, period, sweep_csv
 from ladm.cli import main
-from ladm.oracle import PERIOD_HORIZON
 from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
 from ladm.solver import MAX_TERMS
-from test_oracle import _quadrature_period
+from test_oracle import _closed_form_period, _quadrature_period
 
 EXIT_CODES = {0, 1, 2, 3, 4}  # as documented in ladm.cli
 
@@ -131,6 +131,15 @@ class TestCompareCommand:
         assert capsys.readouterr() == ("", "error: the 1000-term series overflows at t=5000.0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods", [",", "", " , "])
+    def test_no_method_exit_3(self, methods, tmp_path, capsys):
+        # this used to write a t-only CSV and a JSON report that plot refuses
+        out, js = tmp_path / "x.csv", tmp_path / "x.json"
+        assert main(["compare", "--beta", "0.1", "--methods", methods,
+                     "--out", str(out), "--json", str(js)]) == 3
+        assert capsys.readouterr().err.startswith("error: no method requested;")
+        assert not out.exists() and not js.exists()
+
     def test_untabulated_method_exit_3(self, tmp_path, capsys):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
@@ -200,32 +209,46 @@ class TestPeriodCommand:
         assert float(capsys.readouterr().out) == pytest.approx(6.295, abs=1e-2)
 
     def test_long_horizon_stops_after_one_period(self, monkeypatch, capsys):
-        steps = []
+        # the solver's bound is MAX_T_END, yet stepping stops once one period closes
+        trajs = []
 
         def spy(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            steps.append(len(traj.samples))
-            return traj
+            trajs.append(integrate(*args, **kwargs))
+            return trajs[-1]
 
         monkeypatch.setattr(oracle, "integrate", spy)
-        assert main(["period", "--beta", "0.5", "--t-end", "1000"]) == 0
-        long_out = capsys.readouterr()
-        assert main(["period", "--beta", "0.5", "--t-end", "20"]) == 0
-        assert capsys.readouterr() == long_out
-        assert len(steps) == 2 and steps[0] <= steps[1]
+        assert main(["period", "--beta", "0.5"]) == 0
+        (traj,) = trajs
+        t_last, (t_prev, *_) = traj.samples[-1][0], traj.samples[-2]
+        assert t_prev < float(capsys.readouterr().out) <= t_last < 10.0
 
-    @pytest.mark.parametrize("t_end", ["inf", "nan"])
-    def test_non_finite_t_end_exit_3(self, t_end, capsys):
-        # both used to integrate forever
-        assert main(["period", "--beta", "0.3", "--t-end", t_end]) == 3
+    @pytest.mark.parametrize("beta", ["nan", "inf", "1.5", "1", "0", "-0.5"])
+    def test_beta_outside_domain_exit_3(self, beta, capsys):
+        assert main(["period", "--beta", beta]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "finite" in err
+        assert out == "" and err.startswith("error: beta must lie in (0, 1)")
+
+    @pytest.mark.parametrize("beta", ["1e-300", "1e-12", "0.9999999"])
+    def test_whole_beta_range(self, beta, capsys):
+        # with an absolute tolerance of 1e-12 whatever the amplitude, 1e-12 printed 18.4
+        assert main(["period", "--beta", beta]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(_closed_form_period(float(beta)),
+                                                                rel=1e-11)
+
+    def test_period_past_the_solver_bound_exit_4(self, capsys):
+        # T ~ 13375 > MAX_T_END: the solver reaches its bound without one period
+        assert _closed_form_period(0.99999999999995) > oracle.MAX_T_END
+        t0 = time.perf_counter()
+        assert main(["period", "--beta", "0.99999999999995"]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr() == (
+            "", "oracle error: no upward zero crossing in (0, 10000.0]\n")
 
 
-@pytest.mark.parametrize("beta", ["0.945", "0.97", "0.99"])
+@pytest.mark.parametrize("beta", ["0.945", "0.97", "0.99", "0.999"])
 class TestNearLightSpeed:
-    """One period fits the default horizons up to beta ~0.9967; these betas
-    used to exit 4 because two periods had to."""
+    """The first three used to exit 4 because two periods had to fit a
+    horizon of 20; 0.999 (T ~ 26.8) exited 4 while the horizon stayed 20."""
 
     def test_period(self, beta, capsys):
         assert main(["period", "--beta", beta]) == 0
@@ -372,7 +395,7 @@ class TestReportHelpers:
     def test_oracle_matches_full_horizon_trajectory(self, beta, t_max, dt):
         # build_report stops stepping past the grid and one period
         rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
-        full = integrate(beta, max(t_max, rep.grid[-1], PERIOD_HORIZON))
+        full = integrate(beta, 30.0)
         assert rep.columns["oracle"] == tuple(full.sample_on_grid(rep.grid))
         assert rep.oracle_period == period(full)
 
@@ -544,7 +567,7 @@ def _exit_code(argv):
 class TestExitCodesProperty:
     """Every input ends in a documented exit code, never an uncaught exception.
 
-    Finite draws keep t_max at most 25, t_end at most 60, dt at least 0.05
+    Finite draws keep t_max at most 25, dt at least 0.05
     and sweeps at most 3 steps, so each example stays small; the special
     values cover the rest of the range through the domain checks.
     """
@@ -584,9 +607,9 @@ class TestExitCodesProperty:
         assert _exit_code(argv) in EXIT_CODES
 
     @settings(max_examples=30, deadline=None)
-    @given(beta=_floats(0.0, 1.0), t_end=_floats(0.0, 60.0))
-    def test_period(self, beta, t_end):
-        assert _exit_code(["period", f"--beta={beta!r}", f"--t-end={t_end!r}"]) in EXIT_CODES
+    @given(beta=_floats(0.0, 1.0))
+    def test_period(self, beta):
+        assert _exit_code(["period", f"--beta={beta!r}"]) in EXIT_CODES
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

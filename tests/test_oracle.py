@@ -1,22 +1,16 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_ivp
+from scipy.special import ellipe, ellipk
 
-from ladm import (
-    DomainError,
-    InsufficientHorizonError,
-    OracleError,
-    energy,
-    hbm_frequency,
-    integrate,
-    oracle,
-    period,
-)
-from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, PERIOD_HORIZON, TOL, _dense, _rhs
+from ladm import DomainError, OracleError, energy, hbm_frequency, integrate, oracle, period
+from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, _dense
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -26,11 +20,25 @@ def long_trajectories():
     return {beta: integrate(beta, 100.0) for beta in BETAS}
 
 
+def _gamma(beta):
+    """The initial momentum in units of beta, 1/sqrt((1 - beta)(1 + beta))."""
+    return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+
+
+def _speed(p):
+    return p / np.hypot(1.0, p)
+
+
+def _rhs(beta):
+    """Hamilton's equations in units of beta: (u, q)' = (q / sqrt(1 + (beta q)^2), -u)."""
+    return lambda t, y: [y[1] / math.hypot(1.0, beta * y[1]), -y[0]]
+
+
 def _dop853_positions(beta, t_end, tol, ts):
     """Positions at ts from scipy's DOP853 on the oracle's own system at tolerance tol."""
-    sol = scipy_ivp(_rhs, (0.0, t_end), [0.0, beta], method="DOP853",
+    sol = scipy_ivp(_rhs(beta), (0.0, t_end), [0.0, _gamma(beta)], method="DOP853",
                     rtol=tol, atol=tol, dense_output=True).sol
-    return sol(ts)[0]
+    return beta * sol(ts)[0]
 
 
 class TestEnergy:
@@ -38,15 +46,21 @@ class TestEnergy:
         assert energy(0.0, 0.0) == 1.0
 
     def test_initial_energy(self):
-        assert energy(0.0, 0.1) == pytest.approx(1.005037815, abs=1e-9)
+        # gamma = (1 - beta^2)^(-1/2) at beta = 0.1
+        assert energy(0.0, 0.1 * _gamma(0.1)) == pytest.approx(1.005037815, abs=1e-9)
 
     def test_symmetry(self):
         assert energy(0.3, 0.4) == energy(-0.3, -0.4)
 
-    @pytest.mark.parametrize("v", [1.0, -1.0, 1.5])
-    def test_speed_domain(self, v):
-        with pytest.raises(DomainError):
-            energy(0.0, v)
+    @pytest.mark.parametrize("p", [1.0, -1.0, 1.5])
+    def test_speed_domain(self, p):
+        # every momentum is allowed: its speed p / sqrt(1 + p^2) is below 1
+        assert abs(_speed(p)) < 1.0
+        assert energy(0.0, p) == math.hypot(1.0, p)
+
+    def test_arrays(self):
+        x, p = np.array([0.0, 0.3, -2.0]), np.array([0.0, -0.4, 1e8])
+        assert energy(x, p).tolist() == [energy(a, b) for a, b in zip(x, p)]
 
 
 class TestIntegrate:
@@ -56,8 +70,9 @@ class TestIntegrate:
             integrate(beta, 10.0)
 
     def test_initial_condition_exact(self, long_trajectories):
-        t0, x0, v0 = long_trajectories[0.1].samples[0]
-        assert (t0, x0, v0) == (0.0, 0.0, 0.1)
+        t0, u0, q0 = long_trajectories[0.1].samples[0]
+        assert (t0, u0, q0) == (0.0, 0.0, _gamma(0.1))
+        assert _speed(0.1 * q0) == pytest.approx(0.1, rel=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_energy_drift(self, long_trajectories, beta):
@@ -68,17 +83,18 @@ class TestIntegrate:
         # v is extremal at x=0 by energy conservation, so |v| <= beta
         traj = long_trajectories[beta]
         ts = np.linspace(0.0, 100.0, 4001)
-        vs = traj.interpolant(ts)[1]
+        vs = _speed(beta * traj.interpolant(ts)[1])
         assert np.max(np.abs(vs)) <= beta + 1e-9
 
-    @pytest.mark.parametrize("beta, t_end", [(0.1, 20.0), (0.5, 30.0), (0.9, 100.0)])
-    def test_energy_drift_matches_scipy_dense_output(self, beta, t_end):
-        # the monitor as it was computed from scipy's own OdeSolution call
-        res = scipy_ivp(_rhs, (0.0, t_end), [0.0, beta], method="DOP853",
-                        rtol=TOL, atol=TOL, dense_output=True)
-        x, v = res.sol(np.union1d(res.t, np.linspace(0.0, t_end, _MONITOR_SAMPLES)))
-        e = 1.0 / np.sqrt(1.0 - v**2) + 0.5 * x**2
-        assert integrate(beta, t_end).energy_drift == float(np.max(np.abs(e - energy(0.0, beta))))
+    @pytest.mark.parametrize("beta, until", [(0.1, 20.0), (0.5, 30.0), (0.9, 100.0)])
+    def test_energy_drift_matches_scipy_dense_output(self, beta, until):
+        # the monitor as computed from scipy's own OdeSolution call
+        traj = integrate(beta, until)
+        sol = traj.interpolant
+        x, p = beta * sol(np.union1d(sol.ts, np.linspace(0.0, sol.ts[-1], _MONITOR_SAMPLES)))
+        e = np.hypot(1.0, p) + 0.5 * x**2
+        e0 = math.hypot(1.0, beta * _gamma(beta))
+        assert traj.energy_drift == float(np.max(np.abs(e - e0)))
 
     def test_samples_strictly_increasing(self, long_trajectories):
         ts = [t for t, _, _ in long_trajectories[0.2].samples]
@@ -103,30 +119,29 @@ class TestIntegrate:
     def test_time_reversal_symmetry(self):
         beta, t_end = 0.3, 17.0
         kw = dict(method="DOP853", rtol=1e-12, atol=1e-12)
-        fwd = scipy_ivp(_rhs, (0.0, t_end), [0.0, beta], **kw)
-        x1, v1 = fwd.y[:, -1]
-        back = scipy_ivp(_rhs, (0.0, t_end), [x1, -v1], **kw)
-        x2, v2 = back.y[:, -1]
-        assert x2 == pytest.approx(0.0, abs=1e-8)
-        assert v2 == pytest.approx(-beta, abs=1e-8)
+        fwd = scipy_ivp(_rhs(beta), (0.0, t_end), [0.0, _gamma(beta)], **kw)
+        u1, q1 = fwd.y[:, -1]
+        back = scipy_ivp(_rhs(beta), (0.0, t_end), [u1, -q1], **kw)
+        u2, q2 = back.y[:, -1]
+        assert beta * u2 == pytest.approx(0.0, abs=1e-8)
+        assert beta * q2 == pytest.approx(-beta * _gamma(beta), abs=1e-8)
 
-    @pytest.mark.parametrize("t_end", [math.inf, math.nan], ids=["inf-t_end", "nan-t_end"])
-    def test_config_rejects_non_finite(self, t_end):
+    @pytest.mark.parametrize("until", [math.inf, math.nan], ids=["inf-t_end", "nan-t_end"])
+    def test_config_rejects_non_finite(self, until):
         with pytest.raises(DomainError, match="finite"):
-            integrate(0.5, t_end)
+            integrate(0.5, until)
 
-    @pytest.mark.parametrize("t_end", [0.0, -1.0])
-    def test_rejects_nonpositive_horizon(self, t_end):
-        with pytest.raises(DomainError, match="t_end"):
-            integrate(0.5, t_end)
+    @pytest.mark.parametrize("until", [-1.0, 0.0, 3.0])
+    def test_until_inside_the_first_period_integrates_one_period(self, until):
+        assert integrate(0.5, until).samples == integrate(0.5).samples
 
     def test_config_caps_horizon(self, monkeypatch):
-        with pytest.raises(DomainError, match="t_end"):
+        with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, 1e300)  # used to integrate without end
-        with pytest.raises(DomainError, match="t_end"):
+        with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, np.nextafter(MAX_T_END, math.inf))
 
-        # the cap itself passes the check and reaches the integrator as its bound
+        # the cap passes the check, and it is the integrator's bound whatever until is
         bounds = []
 
         def dop853_reached(fun, t0, y0, t_bound, **kwargs):
@@ -134,13 +149,14 @@ class TestIntegrate:
             raise ValueError("integrator reached")
 
         monkeypatch.setattr(oracle, "DOP853", dop853_reached)
-        with pytest.raises(OracleError, match="integrator reached"):
-            integrate(0.5, MAX_T_END)
-        assert bounds == [MAX_T_END]
+        for until in (MAX_T_END, 20.0, 0.0):
+            with pytest.raises(OracleError, match="integrator reached"):
+                integrate(0.5, until)
+        assert bounds == [MAX_T_END] * 3
 
 
 class TestStopRule:
-    """``integrate(..., until=u)`` stops at the first accepted step at or past u
+    """``integrate(beta, u)`` stops at the first accepted step at or past u
     once the samples bracket the first upward zero crossing."""
 
     @staticmethod
@@ -151,13 +167,13 @@ class TestStopRule:
     @pytest.mark.parametrize("beta, until", [(1e-6, 0.0), (0.1, 0.0), (0.5, 3.0), (0.9, 0.0),
                                              (0.99, 5.0), (0.2, 10.0), (0.5, 17.3)])
     def test_samples_are_a_prefix_of_the_full_run(self, beta, until):
-        full, part = integrate(beta, PERIOD_HORIZON), integrate(beta, PERIOD_HORIZON, until)
+        full, part = integrate(beta, 20.0), integrate(beta, until)
         n = len(part.samples)
         assert n < len(full.samples)
         assert part.samples == full.samples[:n]
         assert part.interpolant.ts.tobytes() == full.interpolant.ts[:n].tobytes()
         i = self._first_up(part.samples)
-        assert part.t_end >= until
+        assert part.samples[-1][0] >= until
         if until < part.samples[i + 1][0]:
             # the last two samples are the bracket that period bisects
             assert i == n - 2
@@ -167,25 +183,24 @@ class TestStopRule:
 
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 0.996])
     def test_period_at_until_zero_is_the_full_horizon_period(self, beta):
-        assert period(integrate(beta, PERIOD_HORIZON, until=0.0)) == period(
-            integrate(beta, PERIOD_HORIZON)
-        )
+        assert period(integrate(beta)) == period(integrate(beta, 20.0))
 
-    def test_without_a_crossing_runs_to_t_end(self):
-        traj = integrate(0.1, 3.0, until=0.0)
-        assert traj.samples == integrate(0.1, 3.0).samples
-        assert traj.t_end == 3.0
+    def test_without_a_crossing_runs_to_t_end(self, monkeypatch):
+        # the solver's bound MAX_T_END, here lowered below one period, ends the trajectory
+        monkeypatch.setattr(oracle, "MAX_T_END", 3.0)
+        traj = integrate(0.1)
+        assert traj.samples[-1][0] == 3.0
+        assert all(x >= 0.0 for _, x, _ in traj.samples)
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.9])
     def test_energy_drift_covers_the_integrated_span(self, beta):
-        # scipy's own OdeSolution of the full run, over the span that was integrated
-        traj = integrate(beta, PERIOD_HORIZON, until=0.0)
+        # scipy's own OdeSolution of a longer run, over the span that was integrated
+        traj = integrate(beta)
         ts = traj.interpolant.ts
-        full = scipy_ivp(_rhs, (0.0, PERIOD_HORIZON), [0.0, beta], method="DOP853",
-                         rtol=TOL, atol=TOL, dense_output=True)
-        x, v = full.sol(np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
-        e = 1.0 / np.sqrt(1.0 - v**2) + 0.5 * x**2
-        assert traj.energy_drift == float(np.max(np.abs(e - energy(0.0, beta))))
+        full = integrate(beta, 20.0).interpolant
+        x, p = beta * full(np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
+        e = np.hypot(1.0, p) + 0.5 * x**2
+        assert traj.energy_drift == float(np.max(np.abs(e - energy(0.0, beta * _gamma(beta)))))
 
 
 class TestSampling:
@@ -194,8 +209,8 @@ class TestSampling:
 
     def test_accepted_step_matches_stored_sample(self, long_trajectories):
         traj = long_trajectories[0.2]
-        t, x, _ = traj.samples[len(traj.samples) // 2]
-        assert traj.sample_on_grid([t])[0] == pytest.approx(x, rel=1e-13, abs=1e-15)
+        t, u, _ = traj.samples[len(traj.samples) // 2]
+        assert traj.sample_on_grid([t])[0] == pytest.approx(0.2 * u, rel=1e-13, abs=1e-15)
 
     def test_out_of_range(self, long_trajectories):
         with pytest.raises(DomainError):
@@ -212,8 +227,10 @@ class TestSampling:
         ],
     )
     def test_rejects_batch_naming_first_offender(self, long_trajectories, ts, first):
-        with pytest.raises(DomainError, match=rf"^t={first} outside \[0, 100\.0\]$"):
-            long_trajectories[0.1].sample_on_grid(ts)
+        traj = long_trajectories[0.1]
+        end = re.escape(str(traj.samples[-1][0]))  # the first accepted step at or past 100
+        with pytest.raises(DomainError, match=rf"^t={first} outside \[0, {end}\]$"):
+            traj.sample_on_grid(ts)
 
     def test_empty(self, long_trajectories):
         assert long_trajectories[0.1].sample_on_grid([]) == []
@@ -227,7 +244,7 @@ class TestSampling:
             ts = rng.permutation(np.concatenate([rng.uniform(0.0, 100.0, 997), steps[::10]]))
         else:
             ts = steps
-        expected = [float(traj.interpolant(t)[0]) for t in ts]
+        expected = [float(0.5 * traj.interpolant(t)[0]) for t in ts]
         got = traj.sample_on_grid(ts)
         assert all(type(x) is float for x in got)
         assert got == expected
@@ -243,14 +260,14 @@ class TestSampling:
 
 
 class TestDense:
-    @pytest.mark.parametrize("t_end", [3.0, 20.0, 100.0])
+    @pytest.mark.parametrize("until", [3.0, 20.0, 100.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.77, 0.9])
-    def test_matches_interpolant_bit_for_bit(self, beta, t_end):
-        traj = integrate(beta, t_end)
+    def test_matches_interpolant_bit_for_bit(self, beta, until):
+        traj = integrate(beta, until)
         steps = traj.interpolant.ts
         rng = np.random.default_rng(11)
-        ts = np.concatenate([rng.uniform(0.0, t_end, 500), steps, steps[::4],  # repeats
-                             [0.0, t_end, 0.0, t_end]])
+        ts = np.concatenate([rng.uniform(0.0, until, 500), steps, steps[::4],  # repeats
+                             [0.0, until, 0.0, until]])
         ts = rng.permutation(ts)
         got, want = _dense(traj.interpolant, ts), traj.interpolant(ts)
         assert got.shape == want.shape == (2, ts.size)
@@ -278,37 +295,68 @@ class TestPeriod:
         periods = [period(long_trajectories[b]) for b in BETAS]
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
-    def test_insufficient_horizon(self):
-        with pytest.raises(InsufficientHorizonError, match=r"no upward zero crossing in \(0, 3\.0\]"):
-            period(integrate(0.1, 3.0))
+    def test_insufficient_horizon(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_T_END", 3.0)  # the solver's bound, below one period
+        with pytest.raises(OracleError, match=r"no upward zero crossing in \(0, 3\.0\]"):
+            period(integrate(0.1))
 
     def test_one_period_of_horizon_suffices(self):
         # the old two-crossing rule needed 2T ~ 12.6 inside the horizon
         assert period(integrate(0.1, 8.0)) == period(integrate(0.1, 20.0))
 
-    @pytest.mark.parametrize("t_end", [20.0, 30.0])
+    @pytest.mark.parametrize("until", [20.0, 30.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
-    def test_matches_scalar_scan_bit_for_bit(self, beta, t_end):
-        traj = integrate(beta, t_end)
+    def test_matches_scalar_scan_bit_for_bit(self, beta, until):
+        traj = integrate(beta, until)
         assert period(traj) == _scalar_first_crossing(traj)
-        # the oracle's absolute tolerance TOL is a relative error of about
-        # TOL/beta in x, so at beta = 1e-6 both rules carry the tiny-beta
-        # period error (~1e-7 relative) and agree only to that level
-        rel = 1e-11 if beta >= 0.05 else TOL / beta
-        assert period(traj) == pytest.approx(_scalar_two_crossing_period(traj), rel=rel)
+        assert period(traj) == pytest.approx(_scalar_two_crossing_period(traj), rel=1e-11)
 
     @pytest.mark.parametrize("beta", [1e-6, *BETAS, 0.99])
     def test_independent_of_horizon(self, beta):
-        # the DOP853 steps before the first crossing do not depend on t_end
-        assert len({period(integrate(beta, t_end)) for t_end in (20.0, 30.0, 100.0)}) == 1
+        # the DOP853 steps before the first crossing do not depend on how far stepping goes
+        assert len({period(integrate(beta, until)) for until in (0.0, 20.0, 30.0, 100.0)}) == 1
 
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(min_value=0.05, max_value=0.996))
     def test_matches_energy_quadrature(self, beta):
         # Independent oracle: R. E. Mickens, J. Sound Vib. 212 (1998) 905-908.
-        assert period(integrate(beta, PERIOD_HORIZON)) == pytest.approx(
+        assert period(integrate(beta)) == pytest.approx(
             _quadrature_period(beta), rel=1e-9
         )
+
+
+class TestWholeBetaRange:
+    """The period against the closed form from beta = 1e-300 to 1 - 1e-13."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.floats(min_value=-300.0, max_value=math.log10(0.5)))
+    def test_small_beta(self, exponent):
+        beta = 10.0**exponent
+        assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=1e-11)
+
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.floats(min_value=-13.0, max_value=math.log10(0.5)))
+    def test_near_light_speed(self, exponent):
+        beta = 1.0 - 10.0**exponent
+        assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=1e-11)
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-315, 2.2e-308])
+    def test_subnormal_beta(self, beta):
+        # an absolute tolerance TOL * beta would underflow to 0 and DOP853 would never finish a step
+        assert period(integrate(beta)) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    def test_closed_form_matches_quadrature(self):
+        for beta in (1e-300, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.9999):
+            assert _closed_form_period(beta) == pytest.approx(_quadrature_period(beta), rel=1e-13)
+
+    def test_long_period_bisection_ends(self):
+        # past T = 8192 the float spacing exceeds the 1e-12 target, which used to hang
+        beta = 0.9999999999999
+        t0 = time.perf_counter()
+        p = period(integrate(beta))
+        assert time.perf_counter() - t0 < 1.0
+        assert p == pytest.approx(8458.312666279, rel=1e-11)
+        assert p == pytest.approx(_closed_form_period(beta), rel=1e-11)
 
 
 def _bisect(x, lo, hi):
@@ -336,9 +384,22 @@ def _scalar_two_crossing_period(traj):
     """The earlier rule: the gap between the first two upward crossings found
     by scanning 40 points per time unit, bisected with scalar calls."""
     x = lambda t: float(traj.interpolant(t)[0])
-    ts = np.linspace(0.0, traj.t_end, max(64, int(traj.t_end * 40)))
+    t_last = traj.samples[-1][0]
+    ts = np.linspace(0.0, t_last, max(64, int(t_last * 40)))
     crossings = [_bisect(x, a, b) for a, b in zip(ts[:-1], ts[1:]) if a and x(a) < 0.0 <= x(b)]
     return float(crossings[1] - crossings[0])
+
+
+def _closed_form_period(beta):
+    """Period in closed form, T = 4 sqrt(2) [sqrt(1+g) E(m) - K(m)/sqrt(1+g)].
+
+    g = 1/sqrt((1-beta)(1+beta)), the same gamma as the oracle's initial
+    momentum (1 - beta^2 loses about 5e-5 relative at beta = 1 - 1e-12),
+    and m = (g-1)/(g+1); R. E. Mickens, J. Sound Vib. 212 (1998) 905-908.
+    """
+    g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    m, s = (g - 1.0) / (g + 1.0), math.sqrt(1.0 + g)
+    return float(4.0 * math.sqrt(2.0) * (s * ellipe(m) - ellipk(m) / s))
 
 
 def _quadrature_period(beta):

@@ -136,3 +136,38 @@ def test_negative_degree_rejected():
 def test_mul_negative_max_degree_rejected():
     with pytest.raises(ValueError):
         TP.constant(1.0).mul_truncated(TP.constant(1.0), -1)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_partial_sum_rounding_within_a_priori_bound(beta):
+    """The 14-term ladm column on [0, 20] against a 50-digit sum of the same float coefficients.
+
+    ``TimePolynomial.eval`` builds t^k/k! by k divisions t/j and k products,
+    multiplies by c_k and adds the n terms left to right.  With unit
+    roundoff u = 2^-53 and gamma_m = m u / (1 - m u), each computed term is
+    c_k t^k/k! (1 + theta) with |theta| <= gamma_{2k+1} (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemma 3.1), and recursive
+    summation adds at most gamma_{n-1} times the sum of |terms| (ibid.,
+    section 4.2).  So for the highest degree K
+
+        |computed - exact| <= gamma_{2K+1+n-1} * sum_k |c_k| t^k / k!,
+
+    which bounds the cancellation at large t, where the absolute sum far
+    exceeds the result.
+    """
+    import mpmath
+
+    from ladm.report import ladm_column
+
+    n = 14
+    terms = oscillator_series(beta, n).full_sum().terms
+    ts = np.linspace(0.0, 20.0, 201)
+    got = ladm_column(beta, n, ts)
+    u = 2.0**-53
+    m = 2 * terms[-1][0] + 1 + (n - 1)
+    gamma = m * u / (1 - m * u)
+    with mpmath.workdps(50):
+        for t, x in zip(ts, got):
+            parts = [mpmath.mpf(c) * mpmath.mpf(t) ** k / mpmath.factorial(k) for k, c in terms]
+            exact, magnitude = mpmath.fsum(parts), mpmath.fsum(abs(v) for v in parts)
+            assert abs(mpmath.mpf(x) - exact) <= gamma * magnitude, (t, x, exact)
