@@ -9,7 +9,7 @@ reference integrator, and report builders behind the ``ladm`` CLI.
 from .adomian import AdomianSequence, AnalyticNonlinearity, adomian_polynomials
 from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
 from .errors import DomainError, LadmError, NotTabulatedError, OracleError
-from .oracle import OracleTrajectory, energy, integrate, period
+from .oracle import OracleTrajectory, integrate, period
 from .report import ComparisonReport, build_report, sweep_csv
 from .series import TimePolynomial
 from .solver import (
@@ -40,7 +40,6 @@ __all__ = [
     "TimePolynomial",
     "adomian_polynomials",
     "build_report",
-    "energy",
     "hbm",
     "hbm_frequency",
     "integrate",

@@ -69,20 +69,19 @@ class AdomianSequence:
         return self.polys[n]
 
 
-def _compose_derivative(
-    nonlin: AnalyticNonlinearity, k: int, x0: TimePolynomial, max_degree: int
-) -> TimePolynomial:
-    """N^(k)(x0(t)) as a TimePolynomial, Taylor-expanded about x0(0)."""
+def _compose_derivatives(
+    nonlin: AnalyticNonlinearity, x0: TimePolynomial, order: int, max_degree: int
+) -> list[TimePolynomial]:
+    """N^(k)(x0(t)) for k = 0..order, Taylor-expanded about x0(0) on one chain of powers."""
     c0 = x0.coeff(0)
     w = x0 - TimePolynomial.constant(c0)  # no constant term
-    result = TimePolynomial.constant(nonlin.deriv(c0, k))
-    pw = TimePolynomial.constant(1.0)
-    for j in range(1, max_degree + 1):
-        pw = pw.mul_truncated(w, max_degree)
-        if not pw:
+    powers = [TimePolynomial.constant(1.0)]
+    for _ in range(max_degree):
+        if not (pw := powers[-1].mul_truncated(w, max_degree)):
             break
-        result = result + pw.scale(nonlin.deriv(c0, k + j) / math.factorial(j))
-    return result
+        powers.append(pw)
+    return [TimePolynomial.sum(pw.scale(nonlin.deriv(c0, k + j) / math.factorial(j))
+                               for j, pw in enumerate(powers)) for k in range(order + 1)]
 
 
 def adomian_polynomials(
@@ -101,27 +100,22 @@ def adomian_polynomials(
         raise DomainError(
             f"order {order} needs at least {order + 1} components, got {len(components)}"
         )
-    x0 = components[0]
-
-    # N^(k)(x0) for k = 0..order, as truncated series in t
-    g = [_compose_derivative(nonlin, k, x0, max_degree) for k in range(order + 1)]
+    g = _compose_derivatives(nonlin, components[0], order, max_degree)
 
     # c[k][n] = C(k, n), filled for each n in turn; C(0, 0) = 1, C(0, n) = 0.
-    # Rows past the last nonzero N^(k)(x0) never reach an A_n.
+    # Rows past the last nonzero N^(k)(x0) never reach an A_n.  Each C(k, n)
+    # and A_n is one sum over its products, skipping the zero ones.
     top = max((k for k, gk in enumerate(g) if gk), default=0)
-    zero = TimePolynomial.zero()
-    c = [[zero] * (order + 1) for _ in range(order + 1)]
+    c = [[TimePolynomial()] * (order + 1) for _ in range(order + 1)]
     c[0][0] = TimePolynomial.constant(1.0)
     polys = [g[0]]
     for n in range(1, order + 1):
-        a_n = zero
-        for k in range(1, min(n, top) + 1):
-            for j in range(n - k + 1):
-                x, prev = components[j + 1], c[k - 1][n - 1 - j]
-                if x and prev:
-                    c[k][n] = c[k][n] + x.mul_truncated(prev, max_degree).scale((j + 1) / n)
-            if g[k] and c[k][n]:
-                a_n = a_n + g[k].mul_truncated(c[k][n], max_degree)
-        polys.append(a_n)
+        ks = range(1, min(n, top) + 1)
+        for k in ks:
+            xcs = ((components[j + 1], c[k - 1][n - 1 - j], (j + 1) / n) for j in range(n - k + 1))
+            c[k][n] = TimePolynomial.sum(
+                x.mul_truncated(prev, max_degree).scale(s) for x, prev, s in xcs if x and prev
+            )
+        gcs = ((g[k], c[k][n]) for k in ks)
+        polys.append(TimePolynomial.sum(a.mul_truncated(b, max_degree) for a, b in gcs if a and b))
     return AdomianSequence(polys=tuple(polys))
-

@@ -9,14 +9,15 @@ in units of the initial speed beta, (u, q) = (x, p) / beta, with a
 high-order embedded adaptive pair (scipy's DOP853) and dense output.  So
 the tolerance is relative to the amplitude for every beta, subnormal ones
 included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
-momentum p, and H is an exact first integral, tracked as a correctness
-monitor and never enforced.
+momentum p, and H is an exact first integral, tracked relative to H - 1 as
+a correctness monitor and never enforced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
@@ -28,9 +29,9 @@ MAX_T_END = 1e4  # the solver's bound; at beta 0.5 reaching it takes ~10 s and ~
 TOL = 1e-12  # DOP853 relative and absolute tolerance on (u, q) = (x, p) / beta
 
 
-def energy(x, p):
-    """Dimensionless relativistic energy sqrt(1 + p^2) + x^2/2, for numbers or arrays."""
-    return np.hypot(1.0, p) + 0.5 * x * x
+def _excess_energy(beta, u, q):
+    """(H - 1) / beta^2 = q^2 / (1 + sqrt(1 + (beta q)^2)) + u^2 / 2, free of cancellation."""
+    return q * q / (1.0 + np.hypot(1.0, beta * q)) + 0.5 * u * u
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,14 @@ class OracleTrajectory:
     beta: float
     samples: tuple[tuple[float, float, float], ...]  # (t, u, q) at accepted steps
     interpolant: object = field(repr=False)  # scipy OdeSolution of (u, q)
-    energy_drift: float = 0.0
+
+    @cached_property
+    def energy_drift(self) -> float:
+        """max |h - h(0)| / h(0), h = (H - 1)/beta^2, on the steps and a uniform refinement."""
+        ts = self.interpolant.ts
+        u, q = _dense(self.interpolant, np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
+        h, h0 = _excess_energy(self.beta, u, q), _excess_energy(self.beta, 0.0, self.samples[0][2])
+        return float(np.max(np.abs(h - h0)) / h0)
 
     def sample_on_grid(self, ts) -> list[float]:
         """Dense-output positions at each requested time, in one interpolant call.
@@ -108,32 +116,26 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
     except (ValueError, FloatingPointError) as exc:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
 
-    # energy drift on accepted steps plus a uniform refinement of the integrated span
-    sol = OdeSolution(ts, steps)
-    x, p = beta * _dense(sol, np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
-    drift = float(np.max(np.abs(energy(x, p) - energy(0.0, beta * y0[1]))))
-
     samples = tuple((float(t), float(u), float(q)) for t, (u, q) in zip(ts, ys))
-    return OracleTrajectory(beta=beta, samples=samples, interpolant=sol, energy_drift=drift)
+    return OracleTrajectory(beta=beta, samples=samples, interpolant=OdeSolution(ts, steps))
 
 
 def period(traj: OracleTrajectory) -> float:
-    """Oscillation period of ``traj``: the time of its first upward zero crossing after t = 0.
+    """Oscillation period of ``traj``: four times its first turning time.
 
-    x(0) = 0 and x'(0) = beta > 0, so x first returns upward through zero
-    after one period.  The crossing is bracketed by the first pair of
-    accepted steps where u = x/beta goes from < 0 to >= 0 (u(0) = 0 opens none) and
-    refined by scalar bisection of the dense output to 1e-12 in t, or
+    H is even in x and in p, so the orbit turns (p = 0) after exactly a quarter
+    period.  The turn is bracketed by the first accepted steps where q = p/beta
+    goes from > 0 to <= 0 and bisected on the dense output to 2.5e-13 in t, or
     until no float lies strictly between the ends.
     """
-    ts, us, _ = np.array(traj.samples).T
-    up = np.flatnonzero((us[:-1] < 0.0) & (us[1:] >= 0.0))
-    if not up.size:
-        raise OracleError(f"no upward zero crossing in (0, {ts[-1]}]")
-    lo, hi = ts[up[0]], ts[up[0] + 1]
-    while hi - lo > 1e-12 and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if traj.interpolant(mid)[0] < 0.0:
+    ts, _, qs = np.array(traj.samples).T
+    down = np.flatnonzero((qs[:-1] > 0.0) & (qs[1:] <= 0.0))
+    if not down.size:
+        raise OracleError(f"no turning point in (0, {ts[-1]}]")
+    lo, hi = ts[down[0]], ts[down[0] + 1]
+    while hi - lo > 2.5e-13 and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if traj.interpolant(mid)[1] > 0.0:
             lo = mid
         else:
             hi = mid
-    return float(0.5 * (lo + hi))
+    return float(4.0 * (0.5 * (lo + hi)))

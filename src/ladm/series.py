@@ -42,8 +42,9 @@ class TimePolynomial:
         return cls(tuple(coeffs.items()))
 
     @classmethod
-    def zero(cls) -> "TimePolynomial":
-        return cls()
+    def sum(cls, polys: Iterable["TimePolynomial"]) -> "TimePolynomial":
+        """p0 + p1 + ... in one construction, bit for bit: _canonical adds left to right."""
+        return cls(tuple(term for p in polys for term in p.terms))
 
     @classmethod
     def constant(cls, c: float) -> "TimePolynomial":

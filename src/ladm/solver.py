@@ -77,7 +77,7 @@ class SeriesSolution:
         """Sum of components 0..k (inclusive)."""
         if not 0 <= k < self.n_terms:
             raise IndexError(f"k must be in [0, {self.n_terms - 1}], got {k}")
-        return TimePolynomial(tuple(term for c in self.components[: k + 1] for term in c.terms))
+        return TimePolynomial.sum(self.components[: k + 1])
 
     def full_sum(self) -> TimePolynomial:
         return self.partial_sum(self.n_terms - 1)

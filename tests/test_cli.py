@@ -236,13 +236,22 @@ class TestPeriodCommand:
                                                                 rel=1e-11)
 
     def test_period_past_the_solver_bound_exit_4(self, capsys):
-        # T ~ 13375 > MAX_T_END: the solver reaches its bound without one period
+        # T ~ 46000: the solver reaches its bound MAX_T_END before a quarter period
+        assert _closed_form_period(0.9999999999999999) > 4.0 * oracle.MAX_T_END
+        t0 = time.perf_counter()
+        assert main(["period", "--beta", "0.9999999999999999"]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr() == ("", "oracle error: no turning point in (0, 10000.0]\n")
+
+    def test_period_longer_than_the_solver_bound(self, capsys):
+        # T ~ 10061 > MAX_T_END: the period comes from its first quarter
         assert _closed_form_period(0.99999999999995) > oracle.MAX_T_END
         t0 = time.perf_counter()
-        assert main(["period", "--beta", "0.99999999999995"]) == 4
+        assert main(["period", "--beta", "0.99999999999995"]) == 0
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr() == (
-            "", "oracle error: no upward zero crossing in (0, 10000.0]\n")
+        out = capsys.readouterr().out
+        assert out == "1.006147851954e+04\n"
+        assert float(out) == pytest.approx(_closed_form_period(0.99999999999995), rel=1e-11)
 
 
 @pytest.mark.parametrize("beta", ["0.945", "0.97", "0.99", "0.999"])

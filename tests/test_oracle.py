@@ -4,13 +4,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_ivp
 from scipy.special import ellipe, ellipk
 
-from ladm import DomainError, OracleError, energy, hbm_frequency, integrate, oracle, period
-from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, _dense
+from ladm import DomainError, OracleError, hbm_frequency, integrate, oracle, period
+from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, OracleTrajectory, _dense, _excess_energy
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -34,6 +34,16 @@ def _rhs(beta):
     return lambda t, y: [y[1] / math.hypot(1.0, beta * y[1]), -y[0]]
 
 
+def _relative_drift(beta, sol, ts):
+    """max |h - h(0)| / h(0) of h = (H - 1)/beta^2 from scipy's own OdeSolution call at
+    the accepted steps ts and a uniform refinement of [0, ts[-1]]."""
+    u, q = sol(np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
+    h = q * q / (1.0 + np.hypot(1.0, beta * q)) + 0.5 * u * u
+    q0 = _gamma(beta)
+    h0 = q0 * q0 / (1.0 + np.hypot(1.0, beta * q0))
+    return float(np.max(np.abs(h - h0)) / h0)
+
+
 def _dop853_positions(beta, t_end, tol, ts):
     """Positions at ts from scipy's DOP853 on the oracle's own system at tolerance tol."""
     sol = scipy_ivp(_rhs(beta), (0.0, t_end), [0.0, _gamma(beta)], method="DOP853",
@@ -42,25 +52,34 @@ def _dop853_positions(beta, t_end, tol, ts):
 
 
 class TestEnergy:
+    """The excess energy h = (H - 1)/beta^2 in units of beta, for H = sqrt(1 + p^2) + x^2/2."""
+
     def test_rest_energy(self):
-        assert energy(0.0, 0.0) == 1.0
+        assert _excess_energy(0.5, 0.0, 0.0) == 0.0
 
     def test_initial_energy(self):
-        # gamma = (1 - beta^2)^(-1/2) at beta = 0.1
-        assert energy(0.0, 0.1 * _gamma(0.1)) == pytest.approx(1.005037815, abs=1e-9)
+        # H - 1 = gamma - 1 with gamma = (1 - beta^2)^(-1/2) at beta = 0.1
+        assert 0.01 * _excess_energy(0.1, 0.0, _gamma(0.1)) == pytest.approx(
+            1.0 / math.sqrt(0.99) - 1.0, rel=1e-12)
 
     def test_symmetry(self):
-        assert energy(0.3, 0.4) == energy(-0.3, -0.4)
+        assert _excess_energy(0.5, 0.3, 0.4) == _excess_energy(0.5, -0.3, -0.4)
 
     @pytest.mark.parametrize("p", [1.0, -1.0, 1.5])
     def test_speed_domain(self, p):
         # every momentum is allowed: its speed p / sqrt(1 + p^2) is below 1
         assert abs(_speed(p)) < 1.0
-        assert energy(0.0, p) == math.hypot(1.0, p)
+        assert _excess_energy(1.0, 0.0, p) == pytest.approx(math.hypot(1.0, p) - 1.0, rel=1e-15)
 
     def test_arrays(self):
-        x, p = np.array([0.0, 0.3, -2.0]), np.array([0.0, -0.4, 1e8])
-        assert energy(x, p).tolist() == [energy(a, b) for a, b in zip(x, p)]
+        u, q = np.array([0.0, 0.3, -2.0]), np.array([0.0, -0.4, 1e8])
+        assert _excess_energy(0.5, u, q).tolist() == [_excess_energy(0.5, a, b) for a, b in zip(u, q)]
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 1e-12])
+    def test_no_cancellation_at_tiny_beta(self, beta):
+        # H - 1 = beta^2 h is below the resolution of H = 1 + ... here
+        assert math.hypot(1.0, beta * 2.0) + 0.5 * (beta * 0.5) ** 2 == 1.0
+        assert _excess_energy(beta, 0.5, 2.0) == 2.125
 
 
 class TestIntegrate:
@@ -90,11 +109,17 @@ class TestIntegrate:
     def test_energy_drift_matches_scipy_dense_output(self, beta, until):
         # the monitor as computed from scipy's own OdeSolution call
         traj = integrate(beta, until)
-        sol = traj.interpolant
-        x, p = beta * sol(np.union1d(sol.ts, np.linspace(0.0, sol.ts[-1], _MONITOR_SAMPLES)))
-        e = np.hypot(1.0, p) + 0.5 * x**2
-        e0 = math.hypot(1.0, beta * _gamma(beta))
-        assert traj.energy_drift == float(np.max(np.abs(e - e0)))
+        assert traj.energy_drift == _relative_drift(beta, traj.interpolant, traj.interpolant.ts)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-12, 0.5, 0.9])
+    def test_energy_drift_is_relative_at_every_beta(self, beta):
+        # the same trajectory in units of beta gives the same drift at every small beta,
+        # and a looser tolerance shows at every beta
+        assert 1e-13 < integrate(beta).energy_drift <= 1e-10
+        sol = scipy_ivp(_rhs(beta), (0.0, 10.0), [0.0, _gamma(beta)], method="DOP853",
+                        rtol=1e-6, atol=1e-6, dense_output=True).sol
+        loose = OracleTrajectory(beta=beta, samples=((0.0, 0.0, _gamma(beta)),), interpolant=sol)
+        assert loose.energy_drift > 1e-9
 
     def test_samples_strictly_increasing(self, long_trajectories):
         ts = [t for t, _, _ in long_trajectories[0.2].samples]
@@ -175,7 +200,7 @@ class TestStopRule:
         i = self._first_up(part.samples)
         assert part.samples[-1][0] >= until
         if until < part.samples[i + 1][0]:
-            # the last two samples are the bracket that period bisects
+            # the last two samples bracket the first upward zero crossing
             assert i == n - 2
         else:
             # the first step at or past until, with the crossing already closed
@@ -196,11 +221,8 @@ class TestStopRule:
     def test_energy_drift_covers_the_integrated_span(self, beta):
         # scipy's own OdeSolution of a longer run, over the span that was integrated
         traj = integrate(beta)
-        ts = traj.interpolant.ts
         full = integrate(beta, 20.0).interpolant
-        x, p = beta * full(np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
-        e = np.hypot(1.0, p) + 0.5 * x**2
-        assert traj.energy_drift == float(np.max(np.abs(e - energy(0.0, beta * _gamma(beta)))))
+        assert traj.energy_drift == _relative_drift(beta, full, traj.interpolant.ts)
 
 
 class TestSampling:
@@ -296,9 +318,15 @@ class TestPeriod:
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
     def test_insufficient_horizon(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_T_END", 3.0)  # the solver's bound, below one period
-        with pytest.raises(OracleError, match=r"no upward zero crossing in \(0, 3\.0\]"):
+        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)  # the solver's bound, below a quarter period
+        with pytest.raises(OracleError, match=r"no turning point in \(0, 1\.0\]"):
             period(integrate(0.1))
+
+    def test_a_quarter_period_of_horizon_suffices(self, monkeypatch):
+        # without the first return the stop rule runs to the bound; the turning point is inside
+        full = period(integrate(0.1, 20.0))
+        monkeypatch.setattr(oracle, "MAX_T_END", 3.0)
+        assert period(integrate(0.1)) == full
 
     def test_one_period_of_horizon_suffices(self):
         # the old two-crossing rule needed 2T ~ 12.6 inside the horizon
@@ -308,8 +336,8 @@ class TestPeriod:
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
     def test_matches_scalar_scan_bit_for_bit(self, beta, until):
         traj = integrate(beta, until)
-        assert period(traj) == _scalar_first_crossing(traj)
-        assert period(traj) == pytest.approx(_scalar_two_crossing_period(traj), rel=1e-11)
+        assert period(traj) == _scalar_turning_period(traj)
+        assert period(traj) == pytest.approx(_scalar_first_crossing(traj), rel=1e-11)
 
     @pytest.mark.parametrize("beta", [1e-6, *BETAS, 0.99])
     def test_independent_of_horizon(self, beta):
@@ -336,6 +364,7 @@ class TestWholeBetaRange:
 
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(min_value=-13.0, max_value=math.log10(0.5)))
+    @example(exponent=-11.504231847944919)  # the first-return period was 1.15e-11 off here
     def test_near_light_speed(self, exponent):
         beta = 1.0 - 10.0**exponent
         assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=1e-11)
@@ -359,9 +388,9 @@ class TestWholeBetaRange:
         assert p == pytest.approx(_closed_form_period(beta), rel=1e-11)
 
 
-def _bisect(x, lo, hi):
-    """The zero of x in [lo, hi] with x(lo) < 0 <= x(hi), bisected to 1e-12."""
-    while hi - lo > 1e-12:
+def _bisect(x, lo, hi, tol=1e-12):
+    """The zero of x in [lo, hi] with x(lo) < 0 <= x(hi), bisected to tol."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if x(mid) < 0.0:
             lo = mid
@@ -370,24 +399,24 @@ def _bisect(x, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _scalar_turning_period(traj):
+    """Reference: four times the first turning time, where q goes from > 0 to <= 0
+    between accepted steps, bisected with one scalar dense-output call per step."""
+    q = lambda t: -float(traj.interpolant(t)[1])
+    for (a, _, qa), (b, _, qb) in zip(traj.samples, traj.samples[1:]):
+        if qa > 0.0 >= qb:
+            return 4.0 * _bisect(q, a, b, 2.5e-13)
+    raise AssertionError("no turning point")
+
+
 def _scalar_first_crossing(traj):
-    """Reference: the first upward crossing between accepted steps after t = 0,
-    bisected with one scalar dense-output call per step."""
+    """The earlier rule: the first upward crossing between accepted steps after
+    t = 0, bisected with one scalar dense-output call per step."""
     x = lambda t: float(traj.interpolant(t)[0])
     for (a, xa, _), (b, xb, _) in zip(traj.samples[1:], traj.samples[2:]):
         if xa < 0.0 <= xb:
             return _bisect(x, a, b)
     raise AssertionError("no upward crossing")
-
-
-def _scalar_two_crossing_period(traj):
-    """The earlier rule: the gap between the first two upward crossings found
-    by scanning 40 points per time unit, bisected with scalar calls."""
-    x = lambda t: float(traj.interpolant(t)[0])
-    t_last = traj.samples[-1][0]
-    ts = np.linspace(0.0, t_last, max(64, int(t_last * 40)))
-    crossings = [_bisect(x, a, b) for a, b in zip(ts[:-1], ts[1:]) if a and x(a) < 0.0 <= x(b)]
-    return float(crossings[1] - crossings[0])
 
 
 def _closed_form_period(beta):

@@ -60,6 +60,17 @@ class TestAlgebra:
         s = TP.from_dict({0: 2.0, 2: 3.0}) + TP.from_dict({2: 4.0})
         assert s.as_dict() == {0: 2.0, 2: 7.0}
 
+    def test_sum_equals_chain_of_adds(self):
+        # a degree that cancels midway is dropped by the chain and not by the sum,
+        # and the next addend still lands on the same bits: 0.0 + c == c
+        ps = [TP.from_dict({0: 0.1, 2: 0.7}), TP.from_dict({0: -0.1, 1: 1e-300}),
+              TP.from_dict({0: 0.2, 2: 0.3}), TP.from_dict({1: -1e-300})]
+        chain = TP()
+        for p in ps:
+            chain = chain + p
+        assert TP.sum(ps).terms == chain.terms == ((0, 0.2), (2, 0.7 + 0.3))
+        assert TP.sum([]) == TP()
+
     def test_scale(self):
         assert TP.from_dict({1: 1.0}).scale(0.2).as_dict() == {1: 0.2}
 
@@ -70,7 +81,7 @@ class TestAlgebra:
 
     def test_double_integrate_shifts_degree(self):
         assert TP.from_dict({1: 0.5}).double_integrate().as_dict() == {3: 0.5}
-        assert not TP.zero().double_integrate()
+        assert not TP().double_integrate()
         assert TP.constant(1.0).double_integrate().as_dict() == {2: 1.0}
 
     def test_derivative(self):
@@ -83,7 +94,7 @@ class TestAlgebra:
         assert t.mul_truncated(t, 4).as_dict() == {2: 2.0}
 
     def test_mul_annihilator(self):
-        assert not TP.from_dict({1: 1.0, 5: 2.0}).mul_truncated(TP.zero(), 9)
+        assert not TP.from_dict({1: 1.0, 5: 2.0}).mul_truncated(TP(), 9)
 
     def test_mul_square_of_one_plus_t(self):
         p = TP.from_dict({0: 1.0, 1: 1.0})

@@ -146,7 +146,7 @@ class TestPartialSum:
         # generic components overlap in degree, so the summation order shows
         sol = solve_ivp(IVPSpec(0.3, 0.7, nonlin), 6)
         for k in range(sol.n_terms):
-            total = TP.zero()
+            total = TP()
             for comp in sol.components[: k + 1]:
                 total = total + comp
             assert sol.partial_sum(k).terms == total.terms
