@@ -10,7 +10,8 @@ high-order embedded adaptive pair (scipy's DOP853) and dense output.  So
 the tolerance is relative to the amplitude for every beta, subnormal ones
 included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
 momentum p, and H is an exact first integral, tracked relative to H - 1 as
-a correctness monitor and never enforced.
+a correctness monitor and never enforced.  scipy is imported on the first
+``integrate``, so importing this module costs numpy alone.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
 
 from .errors import DomainError, OracleError
 
 _MONITOR_SAMPLES = 2048  # uniform refinement used for the energy monitor
 MAX_T_END = 1e4  # the solver's bound; at beta 0.5 reaching it takes ~10 s and ~130 MB on a 2-core host
 TOL = 1e-12  # DOP853 relative and absolute tolerance on (u, q) = (x, p) / beta
+
+
+def DOP853(*args, **kwargs):  # scipy's stepper, imported on the first call
+    from scipy.integrate import DOP853
+    return DOP853(*args, **kwargs)
 
 
 def _excess_energy(beta, u, q):
@@ -116,6 +121,7 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
     except (ValueError, FloatingPointError) as exc:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
 
+    from scipy.integrate import OdeSolution
     samples = tuple((float(t), float(u), float(q)) for t, (u, q) in zip(ts, ys))
     return OracleTrajectory(beta=beta, samples=samples, interpolant=OdeSolution(ts, steps))
 

@@ -7,7 +7,7 @@ One <polyline> per data series; axes and legend swatches use <line> and
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def render_lines(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
         # axes
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="#000000"/>',
@@ -87,7 +87,7 @@ def render_lines(
         )
         out.append(
             f'<text x="{WIDTH - MARGIN - 52}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

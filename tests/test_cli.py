@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ladm import ComparisonReport, DomainError, build_report, integrate, oracle, period, sweep_csv
+from ladm import svgplot
 from ladm.cli import main
 from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
 from ladm.solver import MAX_TERMS
@@ -196,6 +197,15 @@ class TestPlotCommand:
                      "--out", str(tmp_path / "r.csv"), "--json", str(rep_json)]) == 0
         assert main(["plot", "--in", str(rep_json), "--out", str(svg)]) == 0
         assert len(xml.dom.minidom.parse(str(svg)).getElementsByTagName("polyline")) == 5
+
+    def test_title_and_labels_escape_markup_only(self):
+        # &, < and > are escaped; quotes stay as they are, outside any attribute
+        svg = svgplot.render_lines({"x & <y> \"q\" 's'": ([0.0, 1.0], [0.0, 1.0])},
+                                   title="a & <b> \"c\" 'd'").splitlines()
+        assert svg[3] == ('<text x="360.0" y="28" text-anchor="middle" font-family="sans-serif" '
+                          'font-size="16">a &amp; &lt;b&gt; "c" \'d\'</text>')
+        assert svg[-2] == ('<text x="608" y="64" font-family="sans-serif" '
+                           'font-size="12">x &amp; &lt;y&gt; "q" \'s\'</text>')
 
     def test_unwritable_output_fails_nonzero(self, report_json, tmp_path):
         code = main(["plot", "--in", str(report_json),

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -178,6 +179,12 @@ class TestIntegrate:
             with pytest.raises(OracleError, match="integrator reached"):
                 integrate(0.5, until)
         assert bounds == [MAX_T_END] * 3
+
+    def test_missing_scipy_is_not_an_oracle_error(self, monkeypatch):
+        # a missing scipy raises ImportError, never the OracleError of exit 4
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        with pytest.raises(ImportError, match="scipy.integrate"):
+            integrate(0.5)
 
 
 class TestStopRule:
