@@ -8,6 +8,7 @@ malformed JSON report, 4 oracle failure; the reason goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,6 +92,7 @@ def cmd_dimensional(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, built on the first call and reused by every main
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ladm",

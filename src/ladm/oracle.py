@@ -93,10 +93,10 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
 
     The initial momentum is beta / sqrt((1 - beta)(1 + beta)).  Stepping
     stops at the first accepted step at or past ``until`` once the samples
-    bracket the first upward zero crossing, x < 0 then >= 0, so the
-    trajectory covers [0, until] and one period.  The solver's bound is
-    always MAX_T_END, so a trajectory is a bit-for-bit prefix of any that
-    reaches further.
+    bracket the first turning point, q > 0 then <= 0 as ``period`` reads it,
+    so the trajectory covers [0, until] and a quarter period.  The solver's
+    bound is always MAX_T_END, so a trajectory is a bit-for-bit prefix of
+    any that reaches further.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
@@ -109,15 +109,15 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
     y0 = [0.0, 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))]
     try:
         solver = DOP853(rhs, 0.0, y0, MAX_T_END, rtol=TOL, atol=TOL)
-        ts, ys, steps, closed = [0.0], [y0], [], False
-        while solver.status == "running" and not (closed and ts[-1] >= until):
+        ts, ys, steps, turned = [0.0], [y0], [], False
+        while solver.status == "running" and not (turned and ts[-1] >= until):
             message = solver.step()
             if solver.status == "failed":
                 raise OracleError(f"integration failed for beta={beta}: {message}")
             ts.append(solver.t)
             ys.append(solver.y)
             steps.append(solver.dense_output())
-            closed = closed or ys[-2][0] < 0.0 <= ys[-1][0]
+            turned = turned or ys[-2][1] > 0.0 >= ys[-1][1]
     except (ValueError, FloatingPointError) as exc:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
 

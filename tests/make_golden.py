@@ -1,10 +1,16 @@
-"""Write the golden hashes of the generic Adomian engine to ``golden_generic.json``.
+"""Write the golden outputs: hashes to ``golden_generic.json``, values to ``golden_oracle.json``.
 
-Each case is a sequence of TimePolynomials: the components of ``solve_ivp``
-or the polynomials of ``adomian_polynomials``.  Its hash is the sha256 of
-every polynomial's term count and packed ``(degree, coefficient)`` pairs, so
-a change of one ulp in any coefficient changes it.  ``test_golden.py``
-recomputes the hashes and compares.
+``golden_generic.json`` holds the generic Adomian engine.  Each case is a
+sequence of TimePolynomials: the components of ``solve_ivp`` or the
+polynomials of ``adomian_polynomials``.  Its hash is the sha256 of every
+polynomial's term count and packed ``(degree, coefficient)`` pairs, so a
+change of one ulp in any coefficient changes it.
+
+``golden_oracle.json`` holds outputs that read the DOP853 oracle, as values:
+the period at each of ORACLE_BETAS and the numbers of every row of
+``sweep_csv(*SWEEP)``.  They may move in their last digits when the
+oracle's arithmetic changes, so ``test_golden.py`` compares them to a
+relative 1e-10 and the hashes exactly.
 
 Run from the repository root after a change that is meant to move these
 outputs, and name the cases that changed:
@@ -24,14 +30,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from ladm import AnalyticNonlinearity as NL
-from ladm import IVPSpec, adomian_polynomials, solve_ivp
+from ladm import IVPSpec, adomian_polynomials, integrate, period, solve_ivp, sweep_csv
 from ladm import TimePolynomial as TP
 from test_adomian import random_components
 
 GOLDEN = Path(__file__).with_name("golden_generic.json")
+GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
 NONLINEARITIES = {"x^2": NL.power(2), "x^3": NL.power(3), "exp": NL.exp()}
 INITIAL_DATA = [(0.0, 0.5), (0.3, 0.7), (-0.4, 0.2)]  # (alpha, beta)
 TERM_COUNTS = [6, 9, 12]
+ORACLE_BETAS = [1e-300, 0.1, 0.5, 0.9, 0.99, 0.9999999]
+SWEEP = (0.05, 0.9, 6)  # beta_min, beta_max, steps
 
 
 def digest(polys) -> str:
@@ -78,6 +87,15 @@ def hashes() -> dict[str, str]:
     return {name: digest(polys) for name, polys in cases()}
 
 
+def oracle_values() -> dict[str, list[float]]:
+    """The periods and the sweep rows, each a list of floats."""
+    values = {f"period/{beta!r}": [period(integrate(beta))] for beta in ORACLE_BETAS}
+    rows = sweep_csv(*SWEEP).splitlines()[1:]
+    values.update((f"sweep/{i}", [float(v) for v in row.split(",")]) for i, row in enumerate(rows))
+    return values
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(hashes(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    GOLDEN_ORACLE.write_text(json.dumps(oracle_values(), indent=1) + "\n")
+    print(f"wrote {GOLDEN} and {GOLDEN_ORACLE}")

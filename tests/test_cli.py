@@ -1,7 +1,10 @@
 import json
 import math
+import subprocess
+import sys
 import time
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,10 +12,12 @@ from hypothesis import strategies as st
 
 from ladm import ComparisonReport, DomainError, build_report, integrate, oracle, period, sweep_csv
 from ladm import svgplot
-from ladm.cli import main
+from ladm.cli import build_parser, main
 from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
 from ladm.solver import MAX_TERMS
 from test_oracle import _closed_form_period, _quadrature_period
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXIT_CODES = {0, 1, 2, 3, 4}  # as documented in ladm.cli
 
@@ -218,8 +223,8 @@ class TestPeriodCommand:
         assert main(["period", "--beta", "0.1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(6.295, abs=1e-2)
 
-    def test_long_horizon_stops_after_one_period(self, monkeypatch, capsys):
-        # the solver's bound is MAX_T_END, yet stepping stops once one period closes
+    def test_long_horizon_stops_at_the_first_turn(self, monkeypatch, capsys):
+        # the solver's bound is MAX_T_END, yet stepping stops at the first step past T/4
         trajs = []
 
         def spy(*args, **kwargs):
@@ -229,8 +234,11 @@ class TestPeriodCommand:
         monkeypatch.setattr(oracle, "integrate", spy)
         assert main(["period", "--beta", "0.5"]) == 0
         (traj,) = trajs
-        t_last, (t_prev, *_) = traj.samples[-1][0], traj.samples[-2]
-        assert t_prev < float(capsys.readouterr().out) <= t_last < 10.0
+        quarter = period(traj) / 4.0
+        assert float(capsys.readouterr().out) == pytest.approx(4.0 * quarter, rel=1e-11)
+        (t_prev, _, q_prev), (t_last, _, q_last) = traj.samples[-2:]
+        assert q_prev > 0.0 >= q_last
+        assert t_prev < quarter <= t_last < 2.0
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "1.5", "1", "0", "-0.5"])
     def test_beta_outside_domain_exit_3(self, beta, capsys):
@@ -412,7 +420,7 @@ class TestReportHelpers:
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(0.05, 0.996), t_max=st.floats(0.05, 25.0), dt=st.floats(0.05, 5.0))
     def test_oracle_matches_full_horizon_trajectory(self, beta, t_max, dt):
-        # build_report stops stepping past the grid and one period
+        # build_report stops stepping past the grid and the first turn
         rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
         full = integrate(beta, 30.0)
         assert rep.columns["oracle"] == tuple(full.sample_on_grid(rep.grid))
@@ -638,3 +646,40 @@ class TestExitCodesProperty:
         (tmp_path / "r.json").write_text(json.dumps(payload))
         argv = ["plot", "--in", str(tmp_path / "r.json"), "--out", str(tmp_path / "fig.svg")]
         assert _exit_code(argv) in EXIT_CODES
+
+
+class TestOneParserPerProcess:
+    """``main`` parses with one parser per process, and a parse leaves nothing for the next."""
+
+    SEQUENCE = [
+        ["period", "--beta", "0.5"],
+        ["sweep", "--beta-min", "0.1", "--beta-max", "0.5", "--steps", "2", "--out", "{tmp}/s.csv"],
+        ["period"],  # usage error
+        ["period", "--beta", "1.5"],  # domain error
+        ["dimensional", "--beta", "0.1", "--omega0", "2", "--c", "3", "--t-max", "3"],
+        ["compare", "--beta", "0.1", "--out", "{tmp}/c.csv"],  # the default --t-max
+        ["period", "--beta", "0.5"],
+    ]
+
+    @staticmethod
+    def _files(argv):
+        return [Path(a).read_text() for a in argv if a.endswith(".csv")]
+
+    def _alone(self, argv):
+        """Exit code, stdout, stderr and written files of argv run in a fresh interpreter."""
+        code = f"import sys; sys.path.insert(0, {str(SRC)!r}); from ladm.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        return run.returncode, run.stdout, run.stderr, self._files(argv)
+
+    def test_cached_parser_holds_no_state(self, tmp_path, capsys):
+        seq = [[a.format(tmp=tmp_path) for a in argv] for argv in self.SEQUENCE]
+        alone = {tuple(argv): self._alone(argv) for argv in seq}
+        assert [alone[tuple(argv)][0] for argv in seq] == [0, 0, 2, 3, 0, 0, 0]
+
+        main(["period", "--beta", "0.1"])  # the parser is built before the sequence
+        capsys.readouterr()
+        for argv in seq:
+            code = _exit_code(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err, self._files(argv)) == alone[tuple(argv)], argv
+        assert build_parser() is build_parser()

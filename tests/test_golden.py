@@ -1,22 +1,30 @@
-"""The generic Adomian engine's outputs against the hashes in ``golden_generic.json``.
+"""The outputs against the golden files that ``make_golden.py`` writes.
 
-The engine's float operations are meant to stay in the same order, so its
-outputs stay bit for bit the same; ``make_golden.py`` documents the cases
-and rewrites the file when a change is meant to move them.
+The generic Adomian engine's float operations are meant to stay in the same
+order, so its outputs are compared with the hashes in ``golden_generic.json``
+bit for bit.  The outputs that read the oracle are compared with the values
+in ``golden_oracle.json`` to a relative 1e-10.  ``make_golden.py`` documents
+the cases and rewrites both files when a change is meant to move them.
 """
 
 import json
 
 import pytest
 
-from make_golden import GOLDEN, cases, digest
+from make_golden import GOLDEN, GOLDEN_ORACLE, cases, digest, oracle_values
 
 EXPECTED = json.loads(GOLDEN.read_text())
+EXPECTED_ORACLE = json.loads(GOLDEN_ORACLE.read_text())
 
 
 @pytest.fixture(scope="module")
 def computed():
     return dict(cases())
+
+
+@pytest.fixture(scope="module")
+def computed_oracle():
+    return oracle_values()
 
 
 def test_same_cases(computed):
@@ -26,3 +34,14 @@ def test_same_cases(computed):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_bit_identical(computed, name):
     assert digest(computed[name]) == EXPECTED[name]
+
+
+def test_same_oracle_cases(computed_oracle):
+    assert sorted(computed_oracle) == sorted(EXPECTED_ORACLE)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_ORACLE))
+def test_oracle_values_within_1e_10(computed_oracle, name):
+    got, want = computed_oracle[name], EXPECTED_ORACLE[name]
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-10 * abs(w) for g, w in zip(got, want)), (got, want)

@@ -157,9 +157,13 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="finite"):
             integrate(0.5, until)
 
-    @pytest.mark.parametrize("until", [-1.0, 0.0, 3.0])
-    def test_until_inside_the_first_period_integrates_one_period(self, until):
-        assert integrate(0.5, until).samples == integrate(0.5).samples
+    @pytest.mark.parametrize("until", [-1.0, 0.0, 1.0])
+    def test_until_inside_the_first_quarter_stops_at_the_turn(self, until):
+        # at beta = 0.5 the orbit turns at t ~ 1.66
+        traj = integrate(0.5, until)
+        assert traj.samples == integrate(0.5).samples
+        (_, _, q_prev), (_, _, q_last) = traj.samples[-2:]
+        assert q_prev > 0.0 >= q_last
 
     def test_config_caps_horizon(self, monkeypatch):
         with pytest.raises(DomainError, match="at most 10000"):
@@ -189,28 +193,28 @@ class TestIntegrate:
 
 class TestStopRule:
     """``integrate(beta, u)`` stops at the first accepted step at or past u
-    once the samples bracket the first upward zero crossing."""
+    once the samples bracket the first turning point, q > 0 then <= 0."""
 
     @staticmethod
-    def _first_up(samples):
-        xs = [x for _, x, _ in samples]
-        return next(i for i in range(len(xs) - 1) if xs[i] < 0.0 <= xs[i + 1])
+    def _first_turn(samples):
+        qs = [q for _, _, q in samples]
+        return next(i for i in range(len(qs) - 1) if qs[i] > 0.0 >= qs[i + 1])
 
-    @pytest.mark.parametrize("beta, until", [(1e-6, 0.0), (0.1, 0.0), (0.5, 3.0), (0.9, 0.0),
-                                             (0.99, 5.0), (0.2, 10.0), (0.5, 17.3)])
+    @pytest.mark.parametrize("beta, until", [(1e-6, 0.0), (0.1, 0.0), (0.5, 1.0), (0.5, 3.0),
+                                             (0.9, 0.0), (0.99, 5.0), (0.2, 10.0), (0.5, 17.3)])
     def test_samples_are_a_prefix_of_the_full_run(self, beta, until):
         full, part = integrate(beta, 20.0), integrate(beta, until)
         n = len(part.samples)
         assert n < len(full.samples)
         assert part.samples == full.samples[:n]
         assert part.interpolant.ts.tobytes() == full.interpolant.ts[:n].tobytes()
-        i = self._first_up(part.samples)
+        i = self._first_turn(part.samples)
         assert part.samples[-1][0] >= until
         if until < part.samples[i + 1][0]:
-            # the last two samples bracket the first upward zero crossing
+            # until falls inside the first quarter: the last two samples bracket the turn
             assert i == n - 2
         else:
-            # the first step at or past until, with the crossing already closed
+            # the first step at or past until, with the turn already bracketed
             assert part.samples[-2][0] < until
 
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 0.996])
@@ -218,11 +222,18 @@ class TestStopRule:
         assert period(integrate(beta)) == period(integrate(beta, 20.0))
 
     def test_without_a_crossing_runs_to_t_end(self, monkeypatch):
-        # the solver's bound MAX_T_END, here lowered below one period, ends the trajectory
-        monkeypatch.setattr(oracle, "MAX_T_END", 3.0)
+        # the solver's bound MAX_T_END, here lowered below a quarter period, ends the trajectory
+        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)
         traj = integrate(0.1)
-        assert traj.samples[-1][0] == 3.0
-        assert all(x >= 0.0 for _, x, _ in traj.samples)
+        assert traj.samples[-1][0] == 1.0
+        assert all(q > 0.0 for _, _, q in traj.samples)
+
+    def test_a_period_past_the_bound_stops_at_the_turn(self):
+        # T ~ 10061 > MAX_T_END, yet the turn at T/4 ends the trajectory, far before the bound
+        traj = integrate(0.99999999999995)
+        (t_prev, _, q_prev), (t_last, _, q_last) = traj.samples[-2:]
+        assert q_prev > 0.0 >= q_last
+        assert t_prev < period(traj) / 4.0 <= t_last < MAX_T_END / 2.0
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.9])
     def test_energy_drift_covers_the_integrated_span(self, beta):
@@ -330,7 +341,7 @@ class TestPeriod:
             period(integrate(0.1))
 
     def test_a_quarter_period_of_horizon_suffices(self, monkeypatch):
-        # without the first return the stop rule runs to the bound; the turning point is inside
+        # a bound below half a period still holds the turning point, where stepping stops
         full = period(integrate(0.1, 20.0))
         monkeypatch.setattr(oracle, "MAX_T_END", 3.0)
         assert period(integrate(0.1)) == full
@@ -348,7 +359,7 @@ class TestPeriod:
 
     @pytest.mark.parametrize("beta", [1e-6, *BETAS, 0.99])
     def test_independent_of_horizon(self, beta):
-        # the DOP853 steps before the first crossing do not depend on how far stepping goes
+        # the DOP853 steps before the first turn do not depend on how far stepping goes
         assert len({period(integrate(beta, until)) for until in (0.0, 20.0, 30.0, 100.0)}) == 1
 
     @settings(max_examples=15, deadline=None)
