@@ -131,17 +131,14 @@ def period(traj: OracleTrajectory) -> float:
 
     H is even in x and in p, so the orbit turns (p = 0) after exactly a quarter
     period.  The turn is bracketed by the first accepted steps where q = p/beta
-    goes from > 0 to <= 0 and bisected on the dense output to 2.5e-13 in t, or
-    until no float lies strictly between the ends.
+    goes from > 0 to <= 0, and found there by Brent's method on the dense
+    output to 2.5e-13 in t.
     """
+    from scipy.optimize import brentq  # loaded with scipy.integrate
+
     ts, _, qs = np.array(traj.samples).T
     down = np.flatnonzero((qs[:-1] > 0.0) & (qs[1:] <= 0.0))
     if not down.size:
         raise OracleError(f"no turning point in (0, {ts[-1]}]")
     lo, hi = ts[down[0]], ts[down[0] + 1]
-    while hi - lo > 2.5e-13 and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if traj.interpolant(mid)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(4.0 * (0.5 * (lo + hi)))
+    return 4.0 * brentq(lambda t: traj.interpolant(t)[1], lo, hi, xtol=2.5e-13)

@@ -39,6 +39,9 @@ class ComparisonReport:
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.columns:
             raise DomainError(f"no method requested; choose from {ALL_METHODS}")
+        bad = [m for m, v in self.columns.items() if m not in ALL_METHODS or len(v) != len(self.grid)]
+        if bad or not self.grid:
+            raise DomainError(f"need a grid and method columns of its length, got {bad}")
 
     def method_names(self) -> list[str]:
         return [m for m in ALL_METHODS if m in self.columns]
@@ -96,9 +99,6 @@ class ComparisonReport:
             period = d["frequency_summary"].get("oracle_period")
             grid = tuple(map(float, d["grid"]))
             columns = {m: tuple(map(float, v)) for m, v in d["columns"].items()}
-            bad = [m for m, v in columns.items() if m not in ALL_METHODS or len(v) != len(grid)]
-            if bad or not (grid and columns):
-                raise ValueError(f"need a grid and method columns of its length, got {bad}")
             finite = all(map(math.isfinite, [*grid, *(x for v in columns.values() for x in v)]))
             if not finite or period is not None and not 0 < period < math.inf:
                 raise ValueError("grid, columns and a positive oracle_period must be finite")

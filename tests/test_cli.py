@@ -455,6 +455,17 @@ class TestReportHelpers:
         with pytest.raises(DomainError, match="beta"):
             build_report(beta, t_max=1.0, dt=0.5, methods=())
 
+    @pytest.mark.parametrize("grid, columns", [
+        ((0.0, 0.5), {"ladm": (0.0,)}),
+        ((0.0, 0.5), {"LADM": (0.0, 1.0)}),
+        ((0.0, 0.5), {"ladm": (0.0, 1.0), "oracle": (0.0, 1.0, 2.0)}),
+        ((), {"ladm": ()}),
+    ], ids=["short-column", "unknown-method", "long-column", "empty-grid"])
+    def test_report_checks_its_own_shape(self, grid, columns):
+        # to_csv would truncate or drop such a column and to_json write what from_json refuses
+        with pytest.raises(DomainError, match="need a grid and method columns of its length"):
+            ComparisonReport(beta=0.1, grid=grid, columns=columns)
+
     def test_sweep_csv_validation(self):
         import ladm.errors as errors
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_ivp
+from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from ladm import DomainError, OracleError, hbm_frequency, integrate, oracle, period
@@ -357,6 +358,29 @@ class TestPeriod:
         assert period(traj) == _scalar_turning_period(traj)
         assert period(traj) == pytest.approx(_scalar_first_crossing(traj), rel=1e-11)
 
+    @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99999999999995])
+    def test_call_budget(self, beta, monkeypatch):
+        # Brent's method converges in a handful of OdeSolution calls; at least one, because
+        # perfbench's oracle.interp_calls counts the root finder's calls on the interpolant
+        traj = integrate(beta)
+        calls, call = [], type(traj.interpolant).__call__
+        monkeypatch.setattr(type(traj.interpolant), "__call__",
+                            lambda sol, t: calls.append(t) or call(sol, t))
+        period(traj)
+        assert 1 <= len(calls) <= 8
+
+    def test_interpolant_returns_the_samples_at_the_bracket_ends(self):
+        # brentq evaluates both ends and needs q > 0 at the first and q <= 0 at the second
+        misses = []
+        for beta in [1e-300, *np.linspace(0.01, 0.99, 50).tolist(), 0.99999999999995]:
+            traj = integrate(beta)
+            i = next(i for i, (a, b) in enumerate(zip(traj.samples, traj.samples[1:]))
+                     if a[2] > 0.0 >= b[2])
+            for t, _, q in traj.samples[i:i + 2]:
+                if np.float64(traj.interpolant(t)[1]).tobytes() != np.float64(q).tobytes():
+                    misses.append((beta, t))
+        assert not misses
+
     @pytest.mark.parametrize("beta", [1e-6, *BETAS, 0.99])
     def test_independent_of_horizon(self, beta):
         # the DOP853 steps before the first turn do not depend on how far stepping goes
@@ -397,7 +421,7 @@ class TestWholeBetaRange:
             assert _closed_form_period(beta) == pytest.approx(_quadrature_period(beta), rel=1e-13)
 
     def test_long_period_bisection_ends(self):
-        # past T = 8192 the float spacing exceeds the 1e-12 target, which used to hang
+        # past T = 8192 the float spacing exceeds 1e-12, where an earlier bisection hung
         beta = 0.9999999999999
         t0 = time.perf_counter()
         p = period(integrate(beta))
@@ -419,11 +443,11 @@ def _bisect(x, lo, hi, tol=1e-12):
 
 def _scalar_turning_period(traj):
     """Reference: four times the first turning time, where q goes from > 0 to <= 0
-    between accepted steps, bisected with one scalar dense-output call per step."""
-    q = lambda t: -float(traj.interpolant(t)[1])
+    between accepted steps, found by Brent's method with scalar dense-output calls."""
+    q = lambda t: float(traj.interpolant(t)[1])
     for (a, _, qa), (b, _, qb) in zip(traj.samples, traj.samples[1:]):
         if qa > 0.0 >= qb:
-            return 4.0 * _bisect(q, a, b, 2.5e-13)
+            return 4.0 * brentq(q, a, b, xtol=2.5e-13)
     raise AssertionError("no turning point")
 
 
