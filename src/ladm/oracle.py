@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, OracleError
 
 _MONITOR_SAMPLES = 2048  # uniform refinement used for the energy monitor
-MAX_T_END = 1e4  # the solver's bound; at beta 0.5 reaching it takes ~10 s and ~130 MB on a 2-core host
+MAX_T_END = 1e4  # the solver's bound and the last time sample_on_grid accepts
 TOL = 1e-12  # DOP853 relative and absolute tolerance on (u, q) = (x, p) / beta
 
 
@@ -53,17 +53,33 @@ class OracleTrajectory:
         h, h0 = _excess_energy(self.beta, u, q), _excess_energy(self.beta, 0.0, self.samples[0][2])
         return float(np.max(np.abs(h - h0)) / h0)
 
-    def sample_on_grid(self, ts) -> list[float]:
-        """Dense-output positions at each requested time, in one interpolant call.
+    @cached_property
+    def turning_time(self) -> float:
+        """The first turn (p = 0), bracketed by the first accepted steps where q goes
+        from > 0 to <= 0 and found there by Brent's method on the dense output to 2.5e-13."""
+        from scipy.optimize import brentq  # loaded with scipy.integrate
+        ts, _, qs = np.array(self.samples).T
+        down = np.flatnonzero((qs[:-1] > 0.0) & (qs[1:] <= 0.0))
+        if not down.size:
+            raise OracleError(f"no turning point in (0, {ts[-1]}]")
+        lo, hi = ts[down[0]], ts[down[0] + 1]
+        return brentq(lambda t: self.interpolant(t)[1], lo, hi, xtol=2.5e-13)
 
-        The whole batch is rejected if any time is NaN or outside the
-        integrated span; the error names the first such time in input order.
+    def sample_on_grid(self, ts) -> list[float]:
+        """Positions x(t) = (-1)^k beta u(min(s, 2 tau - s)), s = t - 2 tau k, k = floor(t / 2 tau).
+
+        H is even in x and in p, so the first quarter orbit, up to the turning time
+        tau, fixes every t; on [0, tau] this is the interpolant bit for bit.  A batch
+        with a NaN or a time outside [0, MAX_T_END] is refused, naming the first.
         """
-        ts, t_last = np.asarray(ts, dtype=float), self.samples[-1][0]
-        bad = np.flatnonzero(~((ts >= 0.0) & (ts <= t_last)))
+        ts = np.asarray(ts, dtype=float)
+        bad = np.flatnonzero(~((ts >= 0.0) & (ts <= MAX_T_END)))
         if bad.size:
-            raise DomainError(f"t={ts[bad[0]]} outside [0, {t_last}]")
-        return (self.beta * _dense(self.interpolant, ts)[0]).tolist()
+            raise DomainError(f"t={ts[bad[0]]} outside [0, {MAX_T_END}]")
+        half = 2.0 * self.turning_time
+        s = ts - half * (k := np.floor(ts / half))
+        u = _dense(self.interpolant, np.minimum(s, half - s))[0]
+        return (self.beta * np.where(k % 2.0 == 0.0, u, -u)).tolist()
 
 
 def _dense(sol, ts) -> np.ndarray:
@@ -93,10 +109,10 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
 
     The initial momentum is beta / sqrt((1 - beta)(1 + beta)).  Stepping
     stops at the first accepted step at or past ``until`` once the samples
-    bracket the first turning point, q > 0 then <= 0 as ``period`` reads it,
-    so the trajectory covers [0, until] and a quarter period.  The solver's
-    bound is always MAX_T_END, so a trajectory is a bit-for-bit prefix of
-    any that reaches further.
+    bracket the first turning point, q > 0 then <= 0, so the trajectory
+    covers [0, until] and the quarter period that ``sample_on_grid`` reads.
+    The solver's bound is always MAX_T_END, so a trajectory is a bit-for-bit
+    prefix of any that reaches further.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
@@ -127,18 +143,5 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
 
 
 def period(traj: OracleTrajectory) -> float:
-    """Oscillation period of ``traj``: four times its first turning time.
-
-    H is even in x and in p, so the orbit turns (p = 0) after exactly a quarter
-    period.  The turn is bracketed by the first accepted steps where q = p/beta
-    goes from > 0 to <= 0, and found there by Brent's method on the dense
-    output to 2.5e-13 in t.
-    """
-    from scipy.optimize import brentq  # loaded with scipy.integrate
-
-    ts, _, qs = np.array(traj.samples).T
-    down = np.flatnonzero((qs[:-1] > 0.0) & (qs[1:] <= 0.0))
-    if not down.size:
-        raise OracleError(f"no turning point in (0, {ts[-1]}]")
-    lo, hi = ts[down[0]], ts[down[0] + 1]
-    return 4.0 * brentq(lambda t: traj.interpolant(t)[1], lo, hi, xtol=2.5e-13)
+    """Oscillation period of ``traj``: four times its turning time, H being even in x and p."""
+    return 4.0 * traj.turning_time

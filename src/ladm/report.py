@@ -152,8 +152,8 @@ def build_report(
 
     period = None
     if "oracle" in methods:
-        traj = oracle.integrate(beta, grid[-1])
-        columns["oracle"] = traj.sample_on_grid(ts)
+        traj = oracle.integrate(beta)
+        columns["oracle"] = traj.sample_on_grid(np.minimum(ts, t_max))  # t_max, not its rounding
         period = oracle.period(traj)
 
     columns = {m: tuple(np.asarray(v).tolist()) for m, v in columns.items()}

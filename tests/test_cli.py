@@ -6,6 +6,7 @@ import time
 import xml.dom.minidom
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,22 @@ class TestCompareCommand:
         assert main(["compare", "--beta", "0.1", "--t-max", "1e300", "--dt", "1e300",
                      "--methods", "hbm,oracle", "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_grid_rounded_past_the_cap(self, tmp_path, capsys):
+        # t_max is the cap, and rounding in i*dt puts the last point two ulps past it;
+        # this used to exit 3 naming the oracle horizon 10000.000000000002
+        assert make_grid(1e4, 9.578544061302683)[-1] > oracle.MAX_T_END
+        out = tmp_path / "x.csv"
+        assert main(["compare", "--beta", "0.5", "--t-max", "10000", "--dt", "9.578544061302683",
+                     "--methods", "hbm,oracle", "--out", str(out)]) == 0
+        t, _, x, _ = out.read_text().splitlines()[-1].split(",")
+        assert t == "1.000000000000e+04"
+        assert x == "%.12e" % integrate(0.5).sample_on_grid([1e4])[0]  # sampled at t_max
+
+    def test_grid_past_the_cap_exit_3(self, tmp_path, capsys):
+        assert main(["compare", "--beta", "0.5", "--t-max", "2e4", "--dt", "1",
+                     "--methods", "hbm,oracle", "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr() == ("", "error: t=10001.0 outside [0, 10000.0]\n")
 
     def test_series_overflow_exit_3(self, tmp_path, capsys):
         # t^k/k! overflows; this used to write nan columns with exit 0
@@ -420,11 +437,26 @@ class TestReportHelpers:
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(0.05, 0.996), t_max=st.floats(0.05, 25.0), dt=st.floats(0.05, 5.0))
     def test_oracle_matches_full_horizon_trajectory(self, beta, t_max, dt):
-        # build_report stops stepping past the grid and the first turn
+        # build_report stops stepping at the first turn and samples at most t_max
         rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
         full = integrate(beta, 30.0)
-        assert rep.columns["oracle"] == tuple(full.sample_on_grid(rep.grid))
+        assert rep.columns["oracle"] == tuple(full.sample_on_grid(np.minimum(rep.grid, t_max)))
         assert rep.oracle_period == period(full)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 0.99])
+    def test_oracle_steps_one_quarter_orbit_whatever_the_grid(self, beta, monkeypatch):
+        trajs = []
+
+        def spy(*args, **kwargs):
+            trajs.append(integrate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(oracle, "integrate", spy)
+        for t_max in (5.0, 1000.0):
+            build_report(beta, t_max=t_max, dt=0.5, methods=("oracle",))
+        short, long = trajs
+        assert len(short.samples) == len(long.samples) <= 30
+        assert short.samples[-1][0] < period(long) / 2.0
 
     def test_from_json_recomputes_errors(self):
         rep = build_report(0.1, t_max=3.0, dt=0.5, methods=("ladm", "oracle"))

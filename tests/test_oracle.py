@@ -1,8 +1,8 @@
 import math
-import re
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp as scipy_ivp
 from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
-from ladm import DomainError, OracleError, hbm_frequency, integrate, oracle, period
+from ladm import DomainError, OracleError, build_report, hbm_frequency, integrate, oracle, period
 from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, OracleTrajectory, _dense, _excess_energy
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
@@ -249,28 +249,32 @@ class TestSampling:
         assert long_trajectories[0.1].sample_on_grid([0.0]) == [0.0]
 
     def test_accepted_step_matches_stored_sample(self, long_trajectories):
+        # a step before the turn, where the positions are the interpolant's own
         traj = long_trajectories[0.2]
-        t, u, _ = traj.samples[len(traj.samples) // 2]
+        before = [s for s in traj.samples if s[0] <= traj.turning_time]
+        t, u, _ = before[len(before) // 2]
+        assert 0.0 < t < traj.turning_time
         assert traj.sample_on_grid([t])[0] == pytest.approx(0.2 * u, rel=1e-13, abs=1e-15)
 
     def test_out_of_range(self, long_trajectories):
-        with pytest.raises(DomainError):
-            long_trajectories[0.1].sample_on_grid([101.0])
-        with pytest.raises(DomainError):
-            long_trajectories[0.1].sample_on_grid([-0.5])
+        # any time in [0, MAX_T_END] folds onto the first quarter orbit
+        traj = long_trajectories[0.1]
+        assert len(traj.sample_on_grid([101.0, MAX_T_END])) == 2
+        for t in (np.nextafter(MAX_T_END, math.inf), 2.0 * MAX_T_END, -0.5):
+            with pytest.raises(DomainError):
+                traj.sample_on_grid([t])
 
     @pytest.mark.parametrize(
         "ts, first",
         [
             ([1.0, math.nan, -0.5], "nan"),
             ([1.0, -0.5, math.nan], "-0.5"),
-            ([2.0, 101.0, -0.5], "101.0"),
+            ([2.0, 10001.0, -0.5], "10001.0"),
         ],
     )
     def test_rejects_batch_naming_first_offender(self, long_trajectories, ts, first):
         traj = long_trajectories[0.1]
-        end = re.escape(str(traj.samples[-1][0]))  # the first accepted step at or past 100
-        with pytest.raises(DomainError, match=rf"^t={first} outside \[0, {end}\]$"):
+        with pytest.raises(DomainError, match=rf"^t={first} outside \[0, 10000\.0\]$"):
             traj.sample_on_grid(ts)
 
     def test_empty(self, long_trajectories):
@@ -278,17 +282,38 @@ class TestSampling:
 
     @pytest.mark.parametrize("kind", ["unsorted", "step_times"])
     def test_matches_scalar_interpolant_bit_for_bit(self, long_trajectories, kind):
+        # the interpolant itself up to the turning time tau, and past it the fold
+        # x(t) = (-1)^k beta u(min(s, 2 tau - s)) with s = t - 2 tau k, k = floor(t / 2 tau)
         traj = long_trajectories[0.5]
+        tau = traj.turning_time
         steps = [t for t, _, _ in traj.samples]  # segment boundaries
         if kind == "unsorted":
             rng = np.random.default_rng(7)
-            ts = rng.permutation(np.concatenate([rng.uniform(0.0, 100.0, 997), steps[::10]]))
+            ts = rng.permutation(np.concatenate([rng.uniform(0.0, tau, 200), [tau],
+                                                 rng.uniform(0.0, 100.0, 797), steps[::10]]))
         else:
             ts = steps
-        expected = [float(0.5 * traj.interpolant(t)[0]) for t in ts]
+
+        def fold(t):
+            k = math.floor(t / (2.0 * tau))
+            s = t - 2.0 * tau * k
+            return (-1.0) ** k * float(0.5 * traj.interpolant(min(s, 2.0 * tau - s))[0])
+
+        expected = [float(0.5 * traj.interpolant(t)[0]) if t <= tau else fold(t) for t in ts]
         got = traj.sample_on_grid(ts)
         assert all(type(x) is float for x in got)
         assert got == expected
+        assert sum(t <= tau for t in ts) >= 8
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_matches_elliptic_inversion(self, beta):
+        # the folded quarter orbit keeps the phase error of one quarter period, so it
+        # stays near the exact position far past where stepping on would drift
+        # (1.9e-9 beta at beta = 0.5 and 2.2e-8 beta at 0.9 by t = 1000)
+        for t_max, dt, bound in ((20.0, 0.5, 2e-11), (1000.0, 40.0, 1e-9)):
+            rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
+            err = np.abs(np.subtract(rep.columns["oracle"], _elliptic_positions(beta, rep.grid)))
+            assert np.max(err) <= bound * beta, (t_max, np.max(err) / beta)
 
     def test_midpoint_interpolation_accuracy(self):
         # dense output between accepted steps agrees with a direct
@@ -471,6 +496,35 @@ def _closed_form_period(beta):
     g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
     m, s = (g - 1.0) / (g + 1.0), math.sqrt(1.0 + g)
     return float(4.0 * math.sqrt(2.0) * (s * ellipe(m) - ellipk(m) / s))
+
+
+def _elliptic_positions(beta, ts):
+    """Exact x(t) at 40 digits, by inverting t = sqrt(2) [sqrt(1+g) E(psi|m) - F(psi|m)/sqrt(1+g)]
+    for x = A sin(psi), A = sqrt(2(g-1)), with Newton's method after reducing t modulo
+    T/2, since t(psi + pi) = t(psi) + T/2; g and m as in ``_closed_form_period``."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        g = 1 / mpmath.sqrt((1 - b) * (1 + b))
+        m, s = (g - 1) / (g + 1), mpmath.sqrt(1 + g)
+        t_of = lambda psi: mpmath.sqrt(2) * (s * mpmath.ellipe(psi, m) - mpmath.ellipf(psi, m) / s)
+
+        def dt_of(psi):
+            r = mpmath.sqrt(1 - m * mpmath.sin(psi) ** 2)
+            return mpmath.sqrt(2) * (s * r - 1 / (s * r))
+
+        half = 2 * t_of(mpmath.pi / 2)
+        xs = []
+        for t in ts:
+            k = mpmath.floor(mpmath.mpf(t) / half)
+            t = mpmath.mpf(t) - k * half
+            psi = mpmath.pi * t / half
+            for _ in range(50):
+                step = (t_of(psi) - t) / dt_of(psi)
+                psi -= step
+                if abs(step) < mpmath.mpf("1e-25"):  # Newton: what is left is below 1e-40
+                    break
+            xs.append(float(mpmath.sqrt(2 * (g - 1)) * mpmath.sin(psi + k * mpmath.pi)))
+        return np.array(xs)
 
 
 def _quadrature_period(beta):
