@@ -8,14 +8,18 @@ C(0, 0) = 1, C(0, n) = 0 for n >= 1 and
 
     C(k, n) = (1/n) sum_{j=0}^{n-k} (j+1) x_{j+1} C(k-1, n-1-j).
 
-For orders <= 4 this reproduces the classical closed forms (A_0 = N(x_0),
-A_1 = x_1 N'(x_0), ...).  The relativistic oscillator of ``ladm.solver`` is
-the linear case N(x) = kappa x, whose sequence is A_m = kappa x_m.
+Each thread keeps the table of its last call, keyed by (N, x_0, max_degree)
+compared with ==.  C(k, n) depends on x_1..x_n alone and A_n on x_0..x_n,
+so a call cuts the table back to its first component that differs from the
+call's and extends it by the orders it lacks: the n orders of one
+``solve_ivp`` make each N^(k)(x_0), C(k, n) and A_n once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +31,7 @@ from .series import TimePolynomial
 class AnalyticNonlinearity:
     """A scalar analytic nonlinearity N with derivatives on demand.
 
-    ``deriv_fn(u, j)`` must return N^(j)(u); ``deriv_fn(u, 0)`` is N(u).
+    ``deriv_fn(u, j)`` must return N^(j)(u), so N(u) at j = 0, the same for the same (u, j).
     """
 
     name: str
@@ -42,7 +46,9 @@ class AnalyticNonlinearity:
 
     @classmethod
     def power(cls, p: int) -> "AnalyticNonlinearity":
-        """N(x) = x**p for integer p >= 1."""
+        """N(x) = x**p for integer p >= 0."""
+        if not isinstance(p, numbers.Integral) or p < 0:
+            raise DomainError(f"power needs an integer p >= 0, got {p!r}")
 
         def d(u: float, j: int) -> float:
             if j > p:
@@ -69,19 +75,47 @@ class AdomianSequence:
         return self.polys[n]
 
 
-def _compose_derivatives(
-    nonlin: AnalyticNonlinearity, x0: TimePolynomial, order: int, max_degree: int
-) -> list[TimePolynomial]:
-    """N^(k)(x0(t)) for k = 0..order, Taylor-expanded about x0(0) on one chain of powers."""
-    c0 = x0.coeff(0)
-    w = x0 - TimePolynomial.constant(c0)  # no constant term
-    powers = [TimePolynomial.constant(1.0)]
-    for _ in range(max_degree):
-        if not (pw := powers[-1].mul_truncated(w, max_degree)):
-            break
-        powers.append(pw)
-    return [TimePolynomial.sum(pw.scale(nonlin.deriv(c0, k + j) / math.factorial(j))
-                               for j, pw in enumerate(powers)) for k in range(order + 1)]
+class _DuanTable:
+    """Duan's recurrence for one (N, x_0, max_degree); each entry is made once, on first need."""
+
+    def __init__(self, nonlin: AnalyticNonlinearity, x0: TimePolynomial, max_degree: int):
+        self.key = (nonlin, x0, max_degree)
+        w = x0 - TimePolynomial.constant(x0.coeff(0))  # no constant term
+        self.powers = powers = [TimePolynomial.constant(1.0)]
+        while len(powers) <= max_degree and (pw := powers[-1].mul_truncated(w, max_degree)):
+            powers.append(pw)
+        self.xs, self.g, self.c = [x0], [], [{0: TimePolynomial.constant(1.0)}]  # c[n][k] = C(k, n)
+        self.a = [self.deriv(0)]  # A_0..A_n
+
+    def deriv(self, k: int) -> TimePolynomial:
+        """N^(k)(x_0(t)), Taylor-expanded about x_0(0) on the powers of x_0 - x_0(0)."""
+        nonlin, c0 = self.key[0], self.key[1].coeff(0)
+        while (j0 := len(self.g)) <= k:
+            self.g.append(TimePolynomial.sum(pw.scale(nonlin.deriv(c0, j0 + j) / math.factorial(j))
+                                             for j, pw in enumerate(self.powers)))
+        return self.g[k]
+
+    def coeff(self, k: int, n: int) -> TimePolynomial:
+        """C(k, n) as one sum over its nonzero products."""
+        if k not in (col := self.c[n]):
+            col[k] = TimePolynomial.sum(
+                x.mul_truncated(prev, self.key[2]).scale((j + 1) / n) for j in range(n - k + 1)
+                if (x := self.xs[j + 1]) and (prev := self.coeff(k - 1, n - 1 - j)))
+        return col[k]
+
+    def extend(self, components: Sequence[TimePolynomial], order: int) -> list[TimePolynomial]:
+        """A_0..A_order, after cutting back to the first x_i that differs from ``components``."""
+        diff = (i for i in range(1, min(len(self.xs), order + 1)) if self.xs[i] != components[i])
+        del self.xs[(i := next(diff, len(self.xs))):], self.c[i:], self.a[i:]
+        self.xs += components[len(self.xs) : order + 1]
+        self.c += ({0: TimePolynomial()} for _ in range(len(self.c), len(self.xs)))  # C(0, n) = 0
+        for n in range(len(self.a), order + 1):
+            self.a.append(TimePolynomial.sum(g.mul_truncated(c, self.key[2]) for k in range(1, n + 1)
+                                             if (g := self.deriv(k)) and (c := self.coeff(k, n))))
+        return self.a[: order + 1]
+
+
+_tables = threading.local()  # the last _DuanTable of each thread
 
 
 def adomian_polynomials(
@@ -90,32 +124,11 @@ def adomian_polynomials(
     order: int,
     max_degree: int,
 ) -> AdomianSequence:
-    """Generic Adomian polynomials A_0..A_order for N(x) by Duan's recurrence.
-
-    All products are truncated at max_degree in t.
-    """
-    if not components:
-        raise DomainError("components must be non-empty")
-    if not 0 <= order < len(components):
-        raise DomainError(
-            f"order {order} needs at least {order + 1} components, got {len(components)}"
-        )
-    g = _compose_derivatives(nonlin, components[0], order, max_degree)
-
-    # c[k][n] = C(k, n), filled for each n in turn; C(0, 0) = 1, C(0, n) = 0.
-    # Rows past the last nonzero N^(k)(x0) never reach an A_n.  Each C(k, n)
-    # and A_n is one sum over its products, skipping the zero ones.
-    top = max((k for k, gk in enumerate(g) if gk), default=0)
-    c = [[TimePolynomial()] * (order + 1) for _ in range(order + 1)]
-    c[0][0] = TimePolynomial.constant(1.0)
-    polys = [g[0]]
-    for n in range(1, order + 1):
-        ks = range(1, min(n, top) + 1)
-        for k in ks:
-            xcs = ((components[j + 1], c[k - 1][n - 1 - j], (j + 1) / n) for j in range(n - k + 1))
-            c[k][n] = TimePolynomial.sum(
-                x.mul_truncated(prev, max_degree).scale(s) for x, prev, s in xcs if x and prev
-            )
-        gcs = ((g[k], c[k][n]) for k in ks)
-        polys.append(TimePolynomial.sum(a.mul_truncated(b, max_degree) for a, b in gcs if a and b))
-    return AdomianSequence(polys=tuple(polys))
+    """A_0..A_order for N(x) by Duan's recurrence, every product truncated at max_degree in t."""
+    if not 0 <= order < len(components) or max_degree < 0:
+        raise DomainError(f"need 0 <= order < len(components) = {len(components)} and "
+                          f"max_degree >= 0, got order {order} and max_degree {max_degree}")
+    table = getattr(_tables, "table", None)
+    if table is None or table.key != (nonlin, components[0], max_degree):
+        table = _tables.table = _DuanTable(nonlin, components[0], max_degree)
+    return AdomianSequence(polys=tuple(table.extend(components, order)))

@@ -51,6 +51,8 @@ class IVPSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.nonlinearity, AnalyticNonlinearity):
             raise DomainError(f"not an AnalyticNonlinearity: {self.nonlinearity!r}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
 
     @classmethod
     def oscillator(cls, beta: float) -> "IVPSpec":

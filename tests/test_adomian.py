@@ -1,7 +1,11 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladm import (
     AnalyticNonlinearity as NL,
@@ -10,8 +14,9 @@ from ladm import (
     TimePolynomial as TP,
     adomian_polynomials,
     oscillator_kappa,
+    solve_ivp,
 )
-from ladm.adomian import _compose_derivatives
+from ladm.adomian import _DuanTable
 
 MAX_DEG = 12
 NONLINEARITIES = [NL.power(2), NL.power(3), NL.exp()]
@@ -60,7 +65,8 @@ def lambda_expansion_oracle(nonlin, components, order, t_probe, h=1e-4):
 def closed_form_sequence(nonlin, comps, max_degree):
     """The classical A_0..A_4 formulas, built independently of the engine."""
     x0, x1, x2, x3, x4 = comps
-    g = _compose_derivatives(nonlin, x0, 4, max_degree)
+    table = _DuanTable(nonlin, x0, max_degree)
+    g = [table.deriv(k) for k in range(5)]
     mul = lambda a, b: a.mul_truncated(b, max_degree)
     a0 = g[0]
     a1 = mul(x1, g[1])
@@ -200,6 +206,154 @@ class TestGenericEngine:
     def test_empty_components(self):
         with pytest.raises(DomainError):
             adomian_polynomials(NL.power(2), [], 0, 4)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_negative_max_degree(self, order):
+        with pytest.raises(DomainError):
+            adomian_polynomials(NL.power(2), [TP.constant(1.0)] * 2, order, -1)
+
+
+class TestPower:
+    @pytest.mark.parametrize("p", [-1, 2.5, 2.0, "2"])
+    def test_refuses_negative_or_non_integer(self, p):
+        with pytest.raises(DomainError):
+            NL.power(p)
+
+    def test_power_zero_is_one(self):
+        sol = solve_ivp(IVPSpec(0.3, 0.7, NL.power(0)), 3)
+        assert [c.as_dict() for c in sol.components] == [{0: 0.3, 1: 0.7}, {2: -1.0}, {}]
+
+
+def bits(polys):
+    """Every (degree, coefficient) of every polynomial, the coefficients as exact hex."""
+    return [[(k, c.hex()) for k, c in p.terms] for p in polys]
+
+
+def fresh(nonlin, components, order, max_degree):
+    """adomian_polynomials on a new thread, which starts with no remembered table."""
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(adomian_polynomials(nonlin, components, order, max_degree)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that gains one entry per TimePolynomial.mul_truncated call, on any thread."""
+    calls = []
+    mul = TP.mul_truncated
+    monkeypatch.setattr(TP, "mul_truncated", lambda p, q, d: calls.append(1) or mul(p, q, d))
+    return calls
+
+
+MAKE_NONLINEARITY = {"x^2": lambda: NL.power(2), "x^3": lambda: NL.power(3), "exp": NL.exp}
+SHARED = [NL.power(2), NL.power(3), NL.exp()]  # one object each, so calls can share a table
+POLYS = st.dictionaries(st.integers(0, 6), st.floats(-1.0, 1.0), max_size=3).map(TP.from_dict)
+
+
+class TestCrossOrderTable:
+    """The table behind adomian_polynomials, which one thread keeps across calls."""
+
+    @pytest.mark.parametrize("name, rebuilt", [("x^3", 751), ("exp", 1045)])
+    def test_solve_makes_a_third_of_the_products(self, products, name, rebuilt):
+        # rebuilt: the count when every order recomposes N^(k)(x_0) and rebuilds A_0..A_n
+        solve_ivp(IVPSpec(0.3, 0.7, MAKE_NONLINEARITY[name]()), 12)
+        assert len(products) <= rebuilt // 3
+
+    @pytest.mark.parametrize("name", sorted(MAKE_NONLINEARITY))
+    def test_each_order_adds_one_column_bit_for_bit(self, products, name):
+        nonlin, n_terms = MAKE_NONLINEARITY[name](), 10
+        max_degree = 2 * n_terms + 1
+        comps = [TP.from_dict({0: 0.3, 1: 0.7})]
+        for n in range(n_terms - 1):
+            products.clear()
+            seq = adomian_polynomials(nonlin, comps, n, max_degree)
+            warm = len(products)
+            assert bits(seq.polys) == bits(fresh(nonlin, comps, n, max_degree).polys), n
+            # column n alone: at most n - k + 1 products per C(k, n) and one per term of A_n
+            assert n == 0 or warm <= n * (n + 1) // 2 + n, (n, warm)
+            comps.append(-seq[n].double_integrate())
+
+    @settings(max_examples=40, deadline=None)
+    @given(nonlin=st.sampled_from(SHARED), x0=POLYS, base=st.lists(POLYS, min_size=6, max_size=6),
+           swaps=st.lists(st.tuples(st.integers(1, 6), POLYS), min_size=1, max_size=3),
+           calls=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), st.sampled_from([5, 8])),
+                          min_size=1, max_size=8))
+    def test_interleaved_calls_match_a_fresh_thread(self, nonlin, x0, base, swaps, calls):
+        variants = [[x0] + base]
+        for i, poly in swaps:  # each variant shares x_0 with the base and may differ at x_i
+            variants.append(variants[0][:i] + [poly] + variants[0][i + 1:])
+        for v, order, max_degree in calls:
+            comps = variants[v % len(variants)]
+            got = adomian_polynomials(nonlin, comps, order, max_degree)
+            assert bits(got.polys) == bits(fresh(nonlin, comps, order, max_degree).polys)
+
+    @pytest.mark.parametrize("i", range(1, 6))
+    def test_cut_back_at_each_index(self, i):
+        # a call whose last component is the first that differs, then longer calls both ways
+        comps = random_components(random.Random(17), n=6)
+        changed = comps[:i] + [comps[i].scale(-1.5)] + comps[i + 1:]
+        nonlin = NL.exp()
+        for c, order in ((comps, 5), (changed, i), (changed, 5), (comps, i), (comps, 5)):
+            got = adomian_polynomials(nonlin, c, order, 8)
+            assert bits(got.polys) == bits(fresh(nonlin, c, order, 8).polys), (order, c is comps)
+
+    def test_a_raising_deriv_fn_leaves_no_stale_state(self):
+        comps = random_components(random.Random(5), n=6)
+        changed = comps[:3] + [comps[3].scale(2.0)] + comps[4:]
+        fail_at, calls = 0, 0
+
+        def d(u, j):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise RuntimeError("once")
+            return math.exp(u)
+
+        for order in (1, 5):  # count the deriv_fn calls of the two calls below
+            adomian_polynomials(NL("exp-counted", d), comps, order, 8)
+        assert calls > 20
+        for fail_at in range(1, calls + 1):  # fail in the table's creation, then in each order
+            nonlin, raised, calls = NL(f"flaky-exp-{fail_at}", d), 0, 0
+            for order in (1, 5):
+                try:
+                    adomian_polynomials(nonlin, comps, order, 8)
+                except RuntimeError:
+                    raised += 1
+            assert raised == 1, fail_at
+            for c in (comps, changed, comps):
+                got = adomian_polynomials(nonlin, c, 5, 8)
+                assert bits(got.polys) == bits(fresh(nonlin, c, 5, 8).polys), fail_at
+
+    def test_threads_keep_their_own_tables(self):
+        # one nonlinearity and one x_0 for all threads, and other later components in
+        # each: a table shared between threads would be cut back under another's feet
+        base = random_components(random.Random(13), n=7)
+        variants = [base[:2] + [base[2].scale(1.0 + i)] + base[3:] for i in range(4)]
+        want = [[bits(fresh(SHARED[2], v, order, 9).polys) for order in range(7)] for v in variants]
+        got = {i: [] for i in range(len(variants))}
+
+        def call_often(i):
+            for r in range(40):
+                order = r % 7
+                got[i].append(bits(adomian_polynomials(SHARED[2], variants[i], order, 9).polys)
+                              == want[i][order])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=call_often, args=(i,)) for i in got]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == {i: [True] * 40 for i in got}
 
 
 class TestOscillatorSequence:

@@ -43,6 +43,12 @@ class TestIVPSpec:
         with pytest.raises(DomainError):
             IVPSpec(alpha=0.0, beta=0.1, nonlinearity="bogus")
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.5), (0.3, math.nan), (math.inf, 0.5),
+                                             (0.3, -math.inf)])
+    def test_non_finite_initial_data(self, alpha, beta):
+        with pytest.raises(DomainError):
+            IVPSpec(alpha, beta, NL.exp())
+
 
 class TestSolveIVP:
     def test_oscillator_beta_01_first_components(self):
