@@ -1,10 +1,17 @@
-"""Write the golden outputs: hashes to ``golden_generic.json``, values to ``golden_oracle.json``.
+"""Write the golden outputs: hashes to ``golden_generic.json`` and ``golden_report.json``,
+values to ``golden_oracle.json``.
 
 ``golden_generic.json`` holds the generic Adomian engine.  Each case is a
 sequence of TimePolynomials: the components of ``solve_ivp`` or the
 polynomials of ``adomian_polynomials``.  Its hash is the sha256 of every
 polynomial's term count and packed ``(degree, coefficient)`` pairs, so a
 change of one ulp in any coefficient changes it.
+
+``golden_report.json`` holds the sha256 of the CSV, the JSON and the
+``ladm plot`` SVG of each report in REPORTS, built on each of
+REPORT_GRIDS without the oracle column.  The JSON writes every value's
+shortest round-trip repr, so a change of one ulp in any column changes its
+hash.
 
 ``golden_oracle.json`` holds outputs that read the DOP853 oracle, as values:
 the period at each of ORACLE_BETAS and the numbers of every row of
@@ -25,22 +32,27 @@ import json
 import random
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from ladm import AnalyticNonlinearity as NL
-from ladm import IVPSpec, adomian_polynomials, integrate, period, solve_ivp, sweep_csv
+from ladm import IVPSpec, adomian_polynomials, build_report, integrate, period, solve_ivp, sweep_csv
 from ladm import TimePolynomial as TP
+from ladm.cli import main
 from test_adomian import random_components
 
 GOLDEN = Path(__file__).with_name("golden_generic.json")
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
+GOLDEN_REPORT = Path(__file__).with_name("golden_report.json")
 NONLINEARITIES = {"x^2": NL.power(2), "x^3": NL.power(3), "exp": NL.exp()}
 INITIAL_DATA = [(0.0, 0.5), (0.3, 0.7), (-0.4, 0.2)]  # (alpha, beta)
 TERM_COUNTS = [6, 9, 12]
 ORACLE_BETAS = [1e-300, 0.1, 0.5, 0.9, 0.99, 0.9999999]
 SWEEP = (0.05, 0.9, 6)  # beta_min, beta_max, steps
+REPORTS = [(0.1, "ladm,hbm,dtm,hpm"), (0.2, "ladm,hbm,dtm,hpm"), (0.77, "ladm,hbm")]
+REPORT_GRIDS = [(10.0, 0.01), (10.0, 0.05), (20.0, 0.01), (20.0, 0.05), (0.1, 0.5)]  # (t_max, dt)
 
 
 def digest(polys) -> str:
@@ -87,6 +99,26 @@ def hashes() -> dict[str, str]:
     return {name: digest(polys) for name, polys in cases()}
 
 
+def report_outputs():
+    """(name, text) of the CSV, JSON and ``ladm plot`` SVG of every golden report."""
+    with tempfile.TemporaryDirectory() as d:
+        src, svg = Path(d, "report.json"), Path(d, "report.svg")
+        for beta, methods in REPORTS:
+            for t_max, dt in REPORT_GRIDS:
+                rep = build_report(beta, t_max=t_max, dt=dt, methods=tuple(methods.split(",")))
+                name = f"report/{methods}/{beta!r}/{t_max!r}/{dt!r}"
+                src.write_text(text := rep.to_json())
+                if main(["plot", "--in", str(src), "--out", str(svg)]) != 0:
+                    raise RuntimeError(f"ladm plot failed on {name}")
+                yield f"{name}/csv", rep.to_csv()
+                yield f"{name}/json", text
+                yield f"{name}/svg", svg.read_text()
+
+
+def report_hashes() -> dict[str, str]:
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in report_outputs()}
+
+
 def oracle_values() -> dict[str, list[float]]:
     """The periods and the sweep rows, each a list of floats."""
     values = {f"period/{beta!r}": [period(integrate(beta))] for beta in ORACLE_BETAS}
@@ -98,4 +130,5 @@ def oracle_values() -> dict[str, list[float]]:
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(hashes(), indent=1) + "\n")
     GOLDEN_ORACLE.write_text(json.dumps(oracle_values(), indent=1) + "\n")
-    print(f"wrote {GOLDEN} and {GOLDEN_ORACLE}")
+    GOLDEN_REPORT.write_text(json.dumps(report_hashes(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}, {GOLDEN_ORACLE} and {GOLDEN_REPORT}")
