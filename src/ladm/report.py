@@ -82,14 +82,22 @@ class ComparisonReport:
         return "\n".join([",".join(header), *(row % r for r in zip(*cols))]) + "\n"
 
     def to_json(self) -> str:
+        """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, made by the C encoder:
+        the scalars are dumped indented around one placeholder per float list, and each list
+        is dumped flat and spliced in with its ", " turned into the indented line breaks."""
         payload = {
             "beta": self.beta,
-            "grid": list(self.grid),
-            "columns": {m: list(v) for m, v in self.columns.items()},
+            "grid": "\0grid",
+            "columns": {m: f"\0{m}" for m in self.columns},
             "errors": {m: {"max_abs": e[0], "rms": e[1]} for m, e in self.errors.items()},
             "frequency_summary": self.frequency_summary,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        for key, vals in {"grid": self.grid, **self.columns}.items():  # keys from ALL_METHODS
+            pad = "\n" + "  " * (2 if key == "grid" else 3)
+            body = json.dumps(list(vals))[1:-1].replace(", ", "," + pad)  # no ", " in float text
+            text = text.replace(f'"\\u0000{key}"', f"[{pad}{body}{pad[:-2]}]")
+        return text + "\n"
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ComparisonReport":

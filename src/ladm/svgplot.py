@@ -31,7 +31,8 @@ def render_lines(
     Data whose padded x or y span is not a positive finite float cannot be
     scaled to pixels and raises DomainError.
     """
-    all_x = [x for xs, _ in series.values() for x in xs]
+    unique_xs = {id(xs): xs for xs, _ in series.values()}  # each formatted once, below
+    all_x = [x for xs in unique_xs.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
 
     def span(vals: list[float]) -> tuple[float, float]:
@@ -73,10 +74,11 @@ def render_lines(
             f'<text x="{MARGIN - 8}" y="{py(yt) + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yt:.3g}</text>'
         )
+    points = {k: " ".join(map("%.2f,%%.2f".__mod__, px(np.asarray(xs)).tolist()))  # x0,%.2f ...
+              for k, xs in unique_xs.items()}
     for i, (label, (xs, ys)) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        pixels = zip(px(np.asarray(xs)).tolist(), py(np.asarray(ys)).tolist())
-        pts = " ".join(map("%.2f,%.2f".__mod__, pixels))
+        pts = points[id(xs)] % tuple(py(np.asarray(ys)).tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )
