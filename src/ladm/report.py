@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -105,13 +106,16 @@ class ComparisonReport:
         try:
             d = json.loads(text)
             period = d["frequency_summary"].get("oracle_period")
+            numbers = chain(d["grid"], *d["columns"].values(), [] if period is None else [period])
+            if not set(map(type, numbers)) <= {float, int}:  # float() reads "0.5" and True
+                raise ValueError("grid, columns and oracle_period must hold JSON numbers")
             grid = tuple(map(float, d["grid"]))
             columns = {m: tuple(map(float, v)) for m, v in d["columns"].items()}
             finite = all(map(math.isfinite, [*grid, *(x for v in columns.values() for x in v)]))
             if not finite or period is not None and not 0 < period < math.inf:
                 raise ValueError("grid, columns and a positive oracle_period must be finite")
             return cls(beta=d["beta"], grid=grid, columns=columns, oracle_period=period)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise DomainError(f"not a comparison report: {exc!r}") from exc
 
 

@@ -28,12 +28,17 @@ def render_lines(
 ) -> str:
     """Build an SVG document; series maps label -> (xs, ys).
 
-    Data whose padded x or y span is not a positive finite float cannot be
-    scaled to pixels and raises DomainError.
+    No data point, a series whose xs and ys differ in length, a value that
+    is not finite, and data whose padded x or y span is not a positive
+    finite float (it cannot be scaled to pixels) raise DomainError.
     """
     unique_xs = {id(xs): xs for xs, _ in series.values()}  # each formatted once, below
     all_x = [x for xs in unique_xs.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
+    if not all_x or any(len(xs) != len(ys) for xs, ys in series.values()):
+        raise DomainError("need data points, and as many ys as xs in each series")
+    if not np.isfinite(all_x + all_y).all():  # min and max skip a NaN that is not first
+        raise DomainError("cannot plot values that are not finite")
 
     def span(vals: list[float]) -> tuple[float, float]:
         lo, hi = min(vals), max(vals)

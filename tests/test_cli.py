@@ -229,6 +229,34 @@ class TestPlotCommand:
         assert svg[-2] == ('<text x="608" y="64" font-family="sans-serif" '
                            'font-size="12">x &amp; &lt;y&gt; "q" \'s\'</text>')
 
+    @pytest.mark.parametrize("series", [
+        {"a": ([0, 1, 2], [1, math.nan, 2])},
+        {"a": ([0, 1, 2], [math.nan, 1, 2])},
+        {"a": ([0, math.inf, 2], [0, 1, 2])},
+        {"a": ([0, 1, 2], [0, 1, 2]), "b": ([0, 1, 2], [0, -math.inf, 2])},
+        {},
+        {"a": ([], [])},
+        {"a": ([0, 1, 2], [0, 1])},
+        {"a": ([0, 1, 2], [0, 1, 2]), "b": ([0, 1], [0, 1, 2])},
+    ], ids=["nan-inside", "nan-first", "x-inf", "neg-inf-second-series", "no-series",
+            "no-points", "short-ys", "long-ys"])
+    def test_render_lines_refuses_bad_data(self, series):
+        # nan-inside wrote "nan" coordinates (min and max skip a NaN that is not
+        # first), no-series raised ValueError, and zip truncated short-ys and long-ys
+        with pytest.raises(DomainError):
+            svgplot.render_lines(series, title="t")
+
+    def test_render_lines_formats_each_xs_for_its_own_series(self):
+        shared = [0.0, 1.0, 2.0]
+        series = {"a": (shared, [0.0, 1.0, 0.0]), "b": ([0.0, 4.0], [1.0, 0.5]),
+                  "c": (shared, [1.0, 0.0, 1.0])}
+        doc = xml.dom.minidom.parseString(svgplot.render_lines(series, title="t"))
+        points = [pl.getAttribute("points").split() for pl in doc.getElementsByTagName("polyline")]
+        assert [[p.split(",")[0] for p in pts] for pts in points] == [
+            ["60.00", "210.00", "360.00"], ["60.00", "660.00"], ["60.00", "210.00", "360.00"]]
+        separate = {m: (list(xs), ys) for m, (xs, ys) in series.items()}
+        assert svgplot.render_lines(separate, title="t") == svgplot.render_lines(series, title="t")
+
     def test_unwritable_output_fails_nonzero(self, report_json, tmp_path):
         code = main(["plot", "--in", str(report_json),
                      "--out", str(tmp_path / "nodir" / "fig.svg")])
@@ -582,18 +610,36 @@ class TestFileErrors:
             (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
              b'{"beta": 0.1, "grid": [1e300], "columns": {"ladm": [0.5]}, '
              b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": ["0.0", "0.5"], "columns": {"ladm": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"ladm": [false, true]}, '
+             b'"frequency_summary": {}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"oracle": [0, 1]}, '
+             b'"frequency_summary": {"oracle_period": true}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1], "columns": {"oracle": [0, 1]}, '
+             b'"frequency_summary": {"oracle_period": "6.3"}}', 3),
+            (["plot", "--in", REPORT, "--out", "{d}/fig.svg"],
+             b'{"beta": 0.1, "grid": [0, 1' + b"0" * 400 + b'], "columns": {"ladm": [0, 1]}, '
+             b'"frequency_summary": {}}', 3),
         ],
         ids=["compare-out-dir", "sweep-out-dir", "plot-in-missing", "plot-no-grid",
              "plot-not-json", "plot-not-utf8", "plot-non-numeric", "plot-short-column",
              "plot-unknown-method", "plot-empty", "plot-grid-nan", "plot-grid-inf",
              "plot-column-overflow", "plot-column-nan", "plot-column-neg-inf",
              "plot-period-inf", "plot-period-nan", "plot-period-zero", "plot-beta-2",
-             "plot-beta-string", "plot-span-overflow", "plot-span-zero"],
+             "plot-beta-string", "plot-span-overflow", "plot-span-zero", "plot-grid-strings",
+             "plot-column-bools", "plot-period-true", "plot-period-string",
+             "plot-grid-int-overflow"],
     )
     def test_exit_code_and_message(self, argv, content, code, tmp_path, capsys):
-        # the first four and plot-span-zero used to exit 1 with a traceback;
-        # the non-finite values and plot-span-overflow used to render nan
-        # coordinates with exit 0
+        # the first four, plot-span-zero and plot-grid-int-overflow used to exit
+        # 1 with a traceback; the non-finite values and plot-span-overflow used
+        # to render nan coordinates with exit 0; float() read the strings and
+        # bools as numbers, and to_json wrote oracle_period true back
         if content is not None:
             (tmp_path / "rep.json").write_bytes(content)
         assert main([a.format(d=tmp_path) for a in argv]) == code
