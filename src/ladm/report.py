@@ -1,7 +1,7 @@
 """Comparison reports: method-vs-method tables and error summaries.
 
-All file output is deterministic: values render as %.12e with C-locale
-decimal points, no timestamps.
+All file output is deterministic, with no timestamps: CSV values render as
+%.12e and JSON values as their shortest round-trip repr.
 """
 
 from __future__ import annotations
