@@ -9,9 +9,10 @@ change of one ulp in any coefficient changes it.
 
 ``golden_report.json`` holds the sha256 of the CSV, the JSON and the
 ``ladm plot`` SVG of each report in REPORTS, built on each of
-REPORT_GRIDS without the oracle column.  The JSON writes every value's
-shortest round-trip repr, so a change of one ulp in any column changes its
-hash.
+REPORT_GRIDS without the oracle column, and of the stdout of each
+``ladm`` command in COMMANDS (``series`` and ``dimensional``, which read no
+oracle either).  The JSON writes every value's shortest round-trip repr, so
+a change of one ulp in any column changes its hash.
 
 ``golden_oracle.json`` holds outputs that read the DOP853 oracle, as values:
 the period at each of ORACLE_BETAS and the numbers of every row of
@@ -27,12 +28,15 @@ outputs, and name the cases that changed:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import struct
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -53,6 +57,13 @@ ORACLE_BETAS = [1e-300, 0.1, 0.5, 0.9, 0.99, 0.9999999]
 SWEEP = (0.05, 0.9, 6)  # beta_min, beta_max, steps
 REPORTS = [(0.1, "ladm,hbm,dtm,hpm"), (0.2, "ladm,hbm,dtm,hpm"), (0.77, "ladm,hbm")]
 REPORT_GRIDS = [(10.0, 0.01), (10.0, 0.05), (20.0, 0.01), (20.0, 0.05), (0.1, 0.5)]  # (t_max, dt)
+COMMANDS = [
+    *(f"series --beta {beta} --terms {n} --format {fmt}"
+      for beta in (0.1, 0.5, 0.9) for n in (1, 14, 60) for fmt in ("csv", "json")),
+    "dimensional --beta 0.1 --omega0 2 --c 3",
+    "dimensional --beta 0.5 --omega0 1 --c 1 --t-max 20 --dt 0.05 --terms 20",
+    "dimensional --beta 0.77 --omega0 0.5 --c 299792458 --t-max 5 --dt 0.1 --terms 6",
+]
 
 
 def digest(polys) -> str:
@@ -115,8 +126,19 @@ def report_outputs():
                 yield f"{name}/svg", svg.read_text()
 
 
+def command_outputs():
+    """(name, stdout) of every command in COMMANDS, run through ``cli.main``."""
+    for command in COMMANDS:
+        with contextlib.redirect_stdout(out := io.StringIO()):
+            code = main(command.split())
+        if code != 0:
+            raise RuntimeError(f"ladm {command} exited {code}")
+        yield f"cli/{command}", out.getvalue()
+
+
 def report_hashes() -> dict[str, str]:
-    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in report_outputs()}
+    outputs = chain(report_outputs(), command_outputs())
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs}
 
 
 def oracle_values() -> dict[str, list[float]]:

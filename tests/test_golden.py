@@ -3,7 +3,8 @@
 The generic Adomian engine's float operations are meant to stay in the same
 order, so its outputs are compared with the hashes in ``golden_generic.json``
 bit for bit, and the CSV, JSON and SVG of the reports without an oracle
-column byte for byte with the hashes in ``golden_report.json``.  The
+column and the stdout of ``ladm series`` and ``ladm dimensional`` byte for
+byte with the hashes in ``golden_report.json``.  The
 outputs that read the oracle are compared with the values
 in ``golden_oracle.json`` to a relative 1e-10.  ``make_golden.py`` documents
 the cases and rewrites all three files when a change is meant to move them.
