@@ -93,11 +93,14 @@ class ComparisonReport:
             "errors": {m: {"max_abs": e[0], "rms": e[1]} for m, e in self.errors.items()},
             "frequency_summary": self.frequency_summary,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        for key, vals in {"grid": self.grid, **self.columns}.items():  # keys from ALL_METHODS
-            pad = "\n" + "  " * (2 if key == "grid" else 3)
-            body = json.dumps(list(vals))[1:-1].replace(", ", "," + pad)  # no ", " in float text
-            text = text.replace(f'"\\u0000{key}"', f"[{pad}{body}{pad[:-2]}]")
+        try:  # NaN and Infinity are not JSON, and from_json refuses them
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            for key, vals in {"grid": self.grid, **self.columns}.items():  # keys from ALL_METHODS
+                pad = "\n" + "  " * (2 if key == "grid" else 3)  # float text holds no ", "
+                body = json.dumps(list(vals), allow_nan=False)[1:-1].replace(", ", "," + pad)
+                text = text.replace(f'"\\u0000{key}"', f"[{pad}{body}{pad[:-2]}]")
+        except ValueError as exc:
+            raise DomainError(f"a report holding NaN or inf has no JSON: {exc}") from exc
         return text + "\n"
 
     @classmethod
@@ -114,6 +117,7 @@ class ComparisonReport:
             finite = all(map(math.isfinite, [*grid, *(x for v in columns.values() for x in v)]))
             if not finite or period is not None and not 0 < period < math.inf:
                 raise ValueError("grid, columns and a positive oracle_period must be finite")
+            period = None if period is None else float(period)  # to_json writes 7.0, not 7
             return cls(beta=d["beta"], grid=grid, columns=columns, oracle_period=period)
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise DomainError(f"not a comparison report: {exc!r}") from exc

@@ -38,6 +38,12 @@ class TimePolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _made(cls, terms: tuple[tuple[int, float], ...]) -> "TimePolynomial":
+        """Wrap terms already canonical (ascending unique degrees, float coefficients, no 0.0)."""
+        object.__setattr__(p := object.__new__(cls), "terms", terms)
+        return p
+
+    @classmethod
     def from_dict(cls, coeffs: Mapping[int, float]) -> "TimePolynomial":
         return cls(tuple(coeffs.items()))
 
@@ -64,10 +70,7 @@ class TimePolynomial:
 
     def coeff(self, degree: int) -> float:
         """Scaled coefficient c_degree (0.0 if absent)."""
-        for k, c in self.terms:
-            if k == degree:
-                return c
-        return 0.0
+        return dict(self.terms).get(degree, 0.0)
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.terms)
@@ -95,7 +98,8 @@ class TimePolynomial:
         return TimePolynomial(self.terms + other.terms)
 
     def scale(self, s: float) -> "TimePolynomial":
-        return TimePolynomial(tuple((k, c * s) for k, c in self.terms))
+        s = float(s)
+        return TimePolynomial._made(tuple((k, p) for k, c in self.terms if (p := c * s) != 0.0))
 
     def __neg__(self) -> "TimePolynomial":
         return self.scale(-1.0)
@@ -105,20 +109,20 @@ class TimePolynomial:
 
     def double_integrate(self) -> "TimePolynomial":
         """Integrate twice from 0 with zero constants: degree shift by 2."""
-        return TimePolynomial(tuple((k + 2, c) for k, c in self.terms))
+        return TimePolynomial._made(tuple((k + 2, c) for k, c in self.terms))
 
     def derivative(self) -> "TimePolynomial":
-        return TimePolynomial(tuple((k - 1, c) for k, c in self.terms if k > 0))
+        return TimePolynomial._made(tuple((k - 1, c) for k, c in self.terms if k > 0))
 
     def mul_truncated(self, other: "TimePolynomial", max_degree: int) -> "TimePolynomial":
         """Cauchy product truncated above max_degree.
 
         On factorial-scaled coefficients the product picks up binomial
-        weights: result_n = sum_k C(n, k) a_k b_{n-k}.
+        weights: result_n = sum_k C(n, k) a_k b_{n-k}, summed in ascending k.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        out: dict[int, float] = {}
+        out = [0.0] * (min(max_degree, self.max_degree + other.max_degree) + 1)
         for ka, a in self.terms:
             if ka > max_degree:
                 break
@@ -126,8 +130,8 @@ class TimePolynomial:
                 n = ka + kb
                 if n > max_degree:
                     break
-                out[n] = out.get(n, 0.0) + math.comb(n, ka) * a * b
-        return TimePolynomial(tuple(out.items()))
+                out[n] += math.comb(n, ka) * a * b
+        return TimePolynomial._made(tuple((n, c) for n, c in enumerate(out) if c != 0.0))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -4,6 +4,8 @@
 indented scalar part.  These tests build the payload dict that the pure-Python
 encoder used to dump whole and require the same text, for every set of method
 columns, one-point grids and the floats whose text is easiest to get wrong.
+A report whose dump would hold NaN or Infinity, which are not JSON and which
+``from_json`` refuses, is refused with a DomainError instead.
 """
 
 import itertools
@@ -14,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladm import ComparisonReport
+from ladm import ComparisonReport, DomainError
 from ladm.report import ALL_METHODS
 
-SPECIAL = [-0.0, 5e-324, 1e22, 1.0, 1e16, math.nan, math.inf]
+SPECIAL = [-0.0, 5e-324, 1e22, 1.0, 1e16]
+NONFINITE = [math.nan, math.inf, -math.inf]
 SUBSETS = [c for r in range(1, len(ALL_METHODS) + 1) for c in itertools.combinations(ALL_METHODS, r)]
 
 # an inf or nan in a column makes inf - inf or nan in the error columns
@@ -33,7 +36,18 @@ def indented_dump(rep: ComparisonReport) -> str:
         "errors": {m: {"max_abs": e[0], "rms": e[1]} for m, e in rep.errors.items()},
         "frequency_summary": rep.frequency_summary,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def assert_dumped_or_refused(rep: ComparisonReport) -> None:
+    """to_json gives the indented dump, or a DomainError where the dump holds NaN or Infinity."""
+    try:
+        want = indented_dump(rep)
+    except ValueError:
+        with pytest.raises(DomainError, match="NaN or inf"):
+            rep.to_json()
+    else:
+        assert rep.to_json() == want
 
 
 @pytest.mark.parametrize("period", [None, 6.295046049810176])
@@ -47,7 +61,7 @@ def test_every_method_set(methods, period):
         assert rep.to_json() == indented_dump(rep)
 
 
-_VALUES = st.one_of(st.sampled_from(SPECIAL + [-math.inf, -1e-300, 1e300]), st.floats(),
+_VALUES = st.one_of(st.sampled_from(SPECIAL + NONFINITE + [-1e-300, 1e300]), st.floats(),
                     st.integers(-10**20, 10**20))
 
 
@@ -66,4 +80,35 @@ def _reports(draw):
 @settings(max_examples=200, deadline=None)
 @given(rep=_reports())
 def test_splice_matches_the_indented_dump(rep):
-    assert rep.to_json() == indented_dump(rep)
+    assert_dumped_or_refused(rep)
+
+
+@pytest.mark.parametrize("where", ["grid", "ladm", "oracle", "oracle_period"])
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+def test_values_that_are_not_finite_are_refused(where, value):
+    # to_json wrote NaN and Infinity tokens, which from_json then refused
+    values = {"grid": [0.0, 0.5], "ladm": [0.0, 0.05], "oracle": [0.0, 0.05], "oracle_period": [6.3]}
+    values[where][-1] = value
+    rep = ComparisonReport(beta=0.1, grid=tuple(values["grid"]),
+                           columns={m: tuple(values[m]) for m in ("ladm", "oracle")},
+                           oracle_period=values["oracle_period"][0])
+    with pytest.raises(DomainError, match="NaN or inf"):
+        rep.to_json()
+
+
+def test_a_finite_report_whose_rms_overflows_is_refused():
+    rep = ComparisonReport(beta=0.1, grid=(0.0, 1.0), columns={"hbm": (1e300, 0.0), "oracle": (-1e300, 0.0)})
+    assert rep.errors["hbm"][1] == math.inf
+    with pytest.raises(DomainError, match="NaN or inf"):
+        rep.to_json()
+
+
+def test_integer_oracle_period_reads_back_as_a_float():
+    # from_json kept the int, so to_json wrote "oracle_period": 6 back
+    rep = ComparisonReport(beta=0.1, grid=(0.0, 0.5), columns={"hbm": (0.0, 0.05)}, oracle_period=6.0)
+    text = rep.to_json()
+    edited = text.replace('"oracle_period": 6.0', '"oracle_period": 6')
+    assert edited != text
+    back = ComparisonReport.from_json(edited)
+    assert type(back.oracle_period) is float
+    assert back.to_json() == text

@@ -132,11 +132,52 @@ class TestProperties:
 
     @given(poly_strategy(), poly_strategy())
     def test_canonical_no_stored_zeros(self, p, q):
-        for result in (p + q, p - q, p.scale(0.5), p.mul_truncated(q, 10),
-                       p.derivative(), p.double_integrate()):
-            assert all(c != 0.0 for _, c in result.terms)
+        for result in (p + q, p - q, -p, p.scale(0.5), p.scale(np.float64(-3.0)),
+                       p.mul_truncated(q, 10), p.derivative(), p.double_integrate()):
+            assert all(c != 0.0 and type(c) is float for _, c in result.terms)
             degs = [k for k, _ in result.terms]
-            assert degs == sorted(degs)
+            assert degs == sorted(set(degs))
+            assert TP(result.terms) == result  # the public constructor changes nothing
+
+    @given(poly_strategy(12), poly_strategy(12), st.integers(0, 30))
+    def test_mul_bit_identical_to_dict_accumulation(self, p, q, max_degree):
+        """The product sums each degree in ascending k, as a dict accumulated in the same loop."""
+        out = {}
+        for ka, a in p.terms:
+            for kb, b in q.terms:
+                if (n := ka + kb) <= max_degree:
+                    out[n] = out.get(n, 0.0) + math.comb(n, ka) * a * b
+        assert p.mul_truncated(q, max_degree).terms == TP.from_dict(out).terms
+
+
+class TestCanonicalForm:
+    """What each operation keeps and drops when it builds its result without re-sorting it."""
+
+    def test_exact_cancellation_in_a_product(self):
+        # (1 + t)(1 - t) = 1 - t^2 = 1 - 2 t^2/2!, and the t terms cancel exactly
+        p = TP.from_dict({0: 1.0, 1: 1.0}).mul_truncated(TP.from_dict({0: 1.0, 1: -1.0}), 4)
+        assert p.terms == ((0, 1.0), (2, -2.0))
+
+    def test_scale_that_underflows_drops_the_term(self):
+        assert TP.from_dict({1: 1e-200, 2: 1.0}).scale(1e-200).terms == ((2, 1e-200),)
+        assert TP.from_dict({1: 5e-324}).scale(-0.5).terms == ()  # -0.0 is a zero too
+
+    def test_scale_by_a_numpy_scalar_stores_floats(self):
+        p = TP.from_dict({0: 1.0, 3: -2.0}).scale(np.float64(0.5))
+        assert p.terms == ((0, 0.5), (3, -1.0))
+        assert [type(c) for _, c in p.terms] == [float, float]
+
+    def test_nan_coefficients_are_kept(self):
+        p = TP.from_dict({0: 1.0, 3: math.nan})
+        for result in (p.scale(2.0), p.mul_truncated(TP.constant(1.0), 5), p.derivative(),
+                       p.double_integrate()):
+            assert math.isnan(dict(result.terms)[max(dict(result.terms))])
+        assert all(math.isnan(c) for _, c in TP.from_dict({1: 1.0, 2: -1.0}).scale(math.nan).terms)
+
+    def test_huge_max_degree_allocates_by_the_operands(self):
+        p = TP.from_dict({0: 1.0, 1: 2.0}).mul_truncated(TP.from_dict({0: 3.0, 2: 1.0}), 10**18)
+        assert p.terms == ((0, 3.0), (1, 6.0), (2, 1.0), (3, 6.0))
+        assert not TP().mul_truncated(TP.constant(1.0), 10**18)
 
 
 def test_negative_degree_rejected():
