@@ -39,17 +39,6 @@ def indented_dump(rep: ComparisonReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def assert_dumped_or_refused(rep: ComparisonReport) -> None:
-    """to_json gives the indented dump, or a DomainError where the dump holds NaN or Infinity."""
-    try:
-        want = indented_dump(rep)
-    except ValueError:
-        with pytest.raises(DomainError, match="NaN or inf"):
-            rep.to_json()
-    else:
-        assert rep.to_json() == want
-
-
 @pytest.mark.parametrize("period", [None, 6.295046049810176])
 @pytest.mark.parametrize("methods", SUBSETS, ids=",".join)
 def test_every_method_set(methods, period):
@@ -80,7 +69,13 @@ def _reports(draw):
 @settings(max_examples=200, deadline=None)
 @given(rep=_reports())
 def test_splice_matches_the_indented_dump(rep):
-    assert_dumped_or_refused(rep)
+    try:
+        want = indented_dump(rep)
+    except ValueError:  # the dump holds NaN or Infinity
+        with pytest.raises(DomainError, match="NaN or inf"):
+            rep.to_json()
+    else:
+        assert rep.to_json() == want
 
 
 @pytest.mark.parametrize("where", ["grid", "ladm", "oracle", "oracle_period"])
