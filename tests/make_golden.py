@@ -9,16 +9,22 @@ change of one ulp in any coefficient changes it.
 
 ``golden_report.json`` holds the sha256 of the CSV, the JSON and the
 ``ladm plot`` SVG of each report in REPORTS, built on each of
-REPORT_GRIDS without the oracle column, and of the stdout of each
+REPORT_GRIDS without the oracle column, of the stdout of each
 ``ladm`` command in COMMANDS (``series`` and ``dimensional``, which read no
-oracle either).  The JSON writes every value's shortest round-trip repr, so
-a change of one ulp in any column changes its hash.
+oracle either), and of the exit code and stderr of each command in
+ERROR_COMMANDS, the documented error cases.  The JSON writes every value's
+shortest round-trip repr, so a change of one ulp in any column changes its
+hash.
 
 ``golden_oracle.json`` holds outputs that read the DOP853 oracle, as values:
-the period at each of ORACLE_BETAS and the numbers of every row of
-``sweep_csv(*SWEEP)``.  They may move in their last digits when the
-oracle's arithmetic changes, so ``test_golden.py`` compares them to a
-relative 1e-10 and the hashes exactly.
+the period at each of ORACLE_BETAS, the numbers of every row of
+``sweep_csv(*SWEEP)``, and of each ``ladm compare`` in ORACLE_COMPARES its
+oracle column, its ``err_*`` columns, its ``errors`` and its
+``omega_oracle``.  They may move in their last digits when the oracle's
+arithmetic changes, so ``test_golden.py`` compares the periods and rows to
+a relative 1e-10, the ``compare/*`` values to an absolute 1e-10 times the
+largest |oracle| of their report (the columns pass through zero), and the
+hashes exactly.
 
 Run from the repository root after a change that is meant to move these
 outputs, and name the cases that changed:
@@ -63,6 +69,19 @@ COMMANDS = [
     "dimensional --beta 0.1 --omega0 2 --c 3",
     "dimensional --beta 0.5 --omega0 1 --c 1 --t-max 20 --dt 0.05 --terms 20",
     "dimensional --beta 0.77 --omega0 0.5 --c 299792458 --t-max 5 --dt 0.1 --terms 6",
+]
+ERROR_COMMANDS = [
+    "period --beta 1.5",
+    "period --beta nan",
+    "dimensional --beta 0.1 --omega0 1 --c 1 --t-max 1e300 --dt 1e300",
+    "dimensional --beta 0.1 --omega0 1e-310 --c 1 --t-max 1 --dt 0.5",
+    "period --beta 0.9999999999999999",
+]
+ORACLE_COMPARES = [
+    "--beta 0.1 --t-max 20 --dt 0.5",
+    "--beta 0.5 --t-max 20 --dt 0.5 --methods ladm,hbm,oracle",
+    "--beta 0.9 --t-max 20 --dt 0.5 --methods ladm,hbm,oracle",
+    "--beta 0.9 --t-max 1000 --dt 1 --methods hbm,oracle",
 ]
 
 
@@ -136,16 +155,48 @@ def command_outputs():
         yield f"cli/{command}", out.getvalue()
 
 
+def error_outputs():
+    """(name, exit code and stderr) of every command in ERROR_COMMANDS, run through ``cli.main``."""
+    for command in ERROR_COMMANDS:
+        with contextlib.redirect_stderr(err := io.StringIO()):
+            code = main(command.split())
+        if code == 0:
+            raise RuntimeError(f"ladm {command} exited 0")
+        yield f"error/{command}", f"exit {code}\n{err.getvalue()}"
+
+
 def report_hashes() -> dict[str, str]:
-    outputs = chain(report_outputs(), command_outputs())
+    outputs = chain(report_outputs(), command_outputs(), error_outputs())
     return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs}
 
 
+def compare_values():
+    """(name, floats) of what each ``ladm compare`` in ORACLE_COMPARES writes from the oracle:
+    the oracle column and ``errors`` of its JSON, the ``err_*`` columns of its CSV and
+    ``omega_oracle``."""
+    with tempfile.TemporaryDirectory() as d:
+        csv, js = Path(d, "report.csv"), Path(d, "report.json")
+        for args in ORACLE_COMPARES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["compare", *args.split(), "--out", str(csv), "--json", str(js)])
+            if code != 0:
+                raise RuntimeError(f"ladm compare {args} failed")
+            rep, (header, *rows) = json.loads(js.read_text()), csv.read_text().splitlines()
+            yield f"compare/{args}/oracle", rep["columns"]["oracle"]
+            for i, name in enumerate(header.split(",")):
+                if name.startswith("err_"):
+                    yield f"compare/{args}/{name}", [float(row.split(",")[i]) for row in rows]
+            for m, e in rep["errors"].items():
+                yield f"compare/{args}/errors.{m}", [e["max_abs"], e["rms"]]
+            yield f"compare/{args}/omega_oracle", [rep["frequency_summary"]["omega_oracle"]]
+
+
 def oracle_values() -> dict[str, list[float]]:
-    """The periods and the sweep rows, each a list of floats."""
+    """The periods, the sweep rows and the oracle outputs of ``compare``, each a list of floats."""
     values = {f"period/{beta!r}": [period(integrate(beta))] for beta in ORACLE_BETAS}
     rows = sweep_csv(*SWEEP).splitlines()[1:]
     values.update((f"sweep/{i}", [float(v) for v in row.split(",")]) for i, row in enumerate(rows))
+    values.update(compare_values())
     return values
 
 

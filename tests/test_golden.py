@@ -4,10 +4,13 @@ The generic Adomian engine's float operations are meant to stay in the same
 order, so its outputs are compared with the hashes in ``golden_generic.json``
 bit for bit, and the CSV, JSON and SVG of the reports without an oracle
 column and the stdout of ``ladm series`` and ``ladm dimensional`` byte for
-byte with the hashes in ``golden_report.json``.  The
-outputs that read the oracle are compared with the values
-in ``golden_oracle.json`` to a relative 1e-10.  ``make_golden.py`` documents
-the cases and rewrites all three files when a change is meant to move them.
+byte with the hashes in ``golden_report.json``, as are the exit code and
+stderr of each documented error case.  The outputs that read the oracle are
+compared with the values in ``golden_oracle.json``: the periods and sweep
+rows to a relative 1e-10, and the oracle outputs of each ``compare`` to an
+absolute 1e-10 times the largest |oracle| of that report, since its columns
+and errors pass through zero.  ``make_golden.py`` documents the cases and
+rewrites all three files when a change is meant to move them.
 """
 
 import json
@@ -50,11 +53,21 @@ def test_same_oracle_cases(computed_oracle):
     assert sorted(computed_oracle) == sorted(EXPECTED_ORACLE)
 
 
+def _tolerances(name, want):
+    """1e-10 of each value, or for a ``compare/*`` value 1e-10 of its report's largest |oracle|."""
+    if name.startswith("compare/"):
+        scale = max(map(abs, EXPECTED_ORACLE[name.rsplit("/", 1)[0] + "/oracle"]))
+        return [1e-10 * scale] * len(want)
+    return [1e-10 * abs(w) for w in want]
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_ORACLE))
 def test_oracle_values_within_1e_10(computed_oracle, name):
     got, want = computed_oracle[name], EXPECTED_ORACLE[name]
     assert len(got) == len(want)
-    assert all(abs(g - w) <= 1e-10 * abs(w) for g, w in zip(got, want)), (got, want)
+    bad = [(i, g, w) for i, (g, w, tol) in enumerate(zip(got, want, _tolerances(name, want)))
+           if not abs(g - w) <= tol]
+    assert not bad, bad[:5]
 
 
 def test_same_report_cases(computed_report):
