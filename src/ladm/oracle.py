@@ -6,11 +6,14 @@ relativistic energy H = sqrt(1 + p^2) + x^2/2,
     x' = p / sqrt(1 + p^2),    p' = -x,
 
 in units of the initial speed beta, (u, q) = (x, p) / beta, with a
-high-order embedded adaptive pair (scipy's DOP853) and dense output.  So
-the tolerance is relative to the amplitude for every beta, subnormal ones
-included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
-momentum p, and H is an exact first integral, tracked relative to H - 1 as
-a correctness monitor and never enforced.  scipy is imported on the first
+high-order embedded adaptive pair (scipy's DOP853, run on Python floats by
+this module's ``DOP853``, which moves the oracle by at most about 1e-12 * beta
+from scipy's own class) and dense output.  So the tolerance is relative
+to the amplitude for every beta, subnormal ones included.  The speed
+x' = p / sqrt(1 + p^2) stays below 1 for every momentum p, and H is an
+exact first integral, tracked relative to H - 1 as a correctness monitor
+and never enforced.  scipy, which supplies the DOP853 tableau, the step
+interpolants, ``OdeSolution`` and ``brentq``, is imported on the first
 ``integrate``, so importing this module costs numpy alone.
 """
 
@@ -18,7 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from math import fsum
+from operator import mul, sub, truediv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,9 +35,76 @@ MAX_T_END = 1e4  # the solver's bound and the last time sample_on_grid accepts
 TOL = 1e-12  # DOP853 relative and absolute tolerance on (u, q) = (x, p) / beta
 
 
-def DOP853(*args, **kwargs):  # scipy's stepper, imported on the first call
-    from scipy.integrate import DOP853
-    return DOP853(*args, **kwargs)
+@cache
+def _tableau() -> SimpleNamespace:
+    """The coefficients of scipy's ``DOP853`` class as lists of floats, and its step interpolant."""
+    from scipy.integrate import DOP853 as dop
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+    t = SimpleNamespace(**{k: getattr(dop, k).tolist() for k in ("A", "B", "C", "E3", "E5", "D")})
+    t.stages, t.interpolant = [*zip(t.A[1:], t.C[1:])], Dop853DenseOutput
+    t.extra = [*zip(dop.A_EXTRA.tolist(), dop.C_EXTRA.tolist())]
+    return t
+
+
+def _stage(fun, t, y, h, K, a, c) -> list[float]:
+    """Append fun(t + c h, z) to the stage columns K, for z = y + h sum_j a_j K_j; return z."""
+    z = [y[0] + fsum(map(mul, a, K[0])) * h, y[1] + fsum(map(mul, a, K[1])) * h]
+    for k, v in zip(K, fun(t + c * h, z)):
+        k.append(v)
+    return z
+
+
+class DOP853:
+    """scipy's ``DOP853(fun, t0, y0, t_bound, rtol=, atol=)`` stepping two equations forward on
+    Python floats, each stage sum one ``math.fsum``, correctly rounded on every Python."""
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+        self.fun, self.t, self.y, self.t_bound, self.status = fun, t0, list(y0), t_bound, "running"
+        self.rtol, self.atol, self.tab, self.f = rtol, atol, _tableau(), fun(t0, self.y)
+        scale = [atol + abs(v) * rtol for v in self.y]  # select_initial_step, error order 7
+        rms = lambda v: math.hypot(*map(truediv, v, scale)) / 2**0.5
+        d0, d1, length = rms(self.y), rms(self.f), t_bound - t0
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+        d2 = rms(map(sub, fun(t0 + h0, [v + h0 * d for v, d in zip(self.y, self.f)]), self.f)) / h0
+        h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+        self.h_abs = min(100 * h0, h1, length)
+
+    def step(self):
+        """Take one accepted step, or fail with scipy's message below 10 ulps of t."""
+        tab, t, y, min_step, rejected = self.tab, self.t, self.y, 10.0 * math.ulp(self.t), False
+        h_abs = max(self.h_abs, min_step)
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
+            K = [[self.f[0]], [self.f[1]]]  # K[i][j]: stage j of component i
+            for a, c in tab.stages:
+                _stage(self.fun, t, y, h, K, a, c)
+            y_new = _stage(self.fun, t, y, h, K, tab.B, 1.0)  # the last stage is f at y_new
+            sc = [self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new)]
+            e5, e3 = ([fsum(map(mul, E, k)) / s for k, s in zip(K, sc)] for E in (tab.E5, tab.E3))
+            n5, n3 = e5[0] * e5[0] + e5[1] * e5[1], e3[0] * e3[0] + e3[1] * e3[1]
+            error = 0.0 if n5 == n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
+            if error < 1.0:
+                factor = 0.9 * error**-0.125 if error else 10.0
+                self.h_abs = h_abs * min(1.0 if rejected else 10.0, factor)
+                self.t_old, self.y_old, self.h_previous, self.K = t, y, h, K
+                self.t, self.y, self.f = t_new, y_new, [K[0][-1], K[1][-1]]
+                self.status = "finished" if t_new >= self.t_bound else "running"
+                return None
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error**-0.125), True
+        self.status = "failed"
+        return "Required step size is less than spacing between numbers."
+
+    def dense_output(self):
+        """scipy's interpolant of the last step, after its three extra stages."""
+        tab, h, y_old, K = self.tab, self.h_previous, self.y_old, [list(k) for k in self.K]
+        for a, c in tab.extra:
+            _stage(self.fun, self.t_old, y_old, h, K, a, c)
+        dy = [v - v_old for v, v_old in zip(self.y, y_old)]
+        F = [dy, [h * k[0] - d for k, d in zip(K, dy)],  # scipy's rows F[0], F[1], F[2] and F[3:]
+             [2 * d - h * (k[12] + k[0]) for k, d in zip(K, dy)],
+             *([h * fsum(map(mul, r, k)) for k in K] for r in tab.D)]
+        return tab.interpolant(self.t_old, self.t, np.array(y_old), np.array(F))
 
 
 def _excess_energy(beta, u, q):

@@ -2,9 +2,12 @@ import math
 import sys
 import time
 
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_ivp
@@ -12,7 +15,8 @@ from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from ladm import DomainError, OracleError, build_report, hbm_frequency, integrate, oracle, period
-from ladm.oracle import _MONITOR_SAMPLES, MAX_T_END, OracleTrajectory, _dense, _excess_energy
+from ladm.oracle import (_MONITOR_SAMPLES, DOP853, MAX_T_END, TOL, OracleTrajectory, _dense,
+                         _excess_energy, _tableau)
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -190,6 +194,91 @@ class TestIntegrate:
         monkeypatch.setitem(sys.modules, "scipy.integrate", None)
         with pytest.raises(ImportError, match="scipy.integrate"):
             integrate(0.5)
+
+
+class TestStepper:
+    """``oracle.DOP853`` against scipy's ``DOP853`` class, its test oracle, on the same system.
+
+    Each stage sum is one ``math.fsum`` where scipy takes a numpy dot product.  The embedded
+    error estimate cancels about seven digits, so those last-bit differences move each step
+    size by about 1e-8 relative (2e-6 by the turn at beta = 0.99); the steps are the same
+    ones, and the trajectory through them agrees to rounding."""
+
+    @staticmethod
+    def _with_scipy(beta, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "DOP853", scipy.integrate.DOP853)
+            return integrate(beta)
+
+    @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99])
+    def test_same_steps_and_trajectory_as_scipy(self, beta, monkeypatch):
+        ref, own = self._with_scipy(beta, monkeypatch), integrate(beta)
+        assert len(own.samples) == len(ref.samples)
+        ts, us, qs = np.array(own.samples).T
+        assert np.allclose(ts, np.array(ref.samples)[:, 0], rtol=1e-5, atol=0.0)
+        ts = ts[ts <= ref.samples[-1][0]]
+        u_ref, q_ref = ref.interpolant(ts)
+        assert np.max(np.abs(us[:ts.size] - u_ref)) <= 1e-13
+        assert np.max(np.abs(qs[:ts.size] - q_ref)) <= 1e-13
+        assert period(own) == pytest.approx(period(ref), rel=1e-12)
+
+    def test_period_near_light_speed_matches_scipy(self, monkeypatch):
+        beta = 0.9999999
+        assert period(integrate(beta)) == pytest.approx(
+            period(self._with_scipy(beta, monkeypatch)), rel=1e-12)
+
+    def test_interpolant_is_scipys(self):
+        traj = integrate(0.5)
+        assert {type(d) for d in traj.interpolant.interpolants} == {_tableau().interpolant}
+        assert all(d.F.shape == (7, 2) and d.y_old.shape == (2,) for d in traj.interpolant.interpolants)
+
+    def test_finishes_at_the_bound_like_scipy(self):
+        # the harmonic oscillator to t = 1: the last step is cut to land on the bound
+        rhs = lambda t, y: [y[1], -y[0]]
+        own, ref = (cls(rhs, 0.0, [0.0, 1.0], 1.0, rtol=TOL, atol=TOL)
+                    for cls in (DOP853, scipy.integrate.DOP853))
+        steps = []
+        for solver in (own, ref):
+            while solver.status == "running":
+                assert solver.step() is None
+            steps.append(solver.t)
+        assert own.status == ref.status == "finished"
+        assert steps == [1.0, 1.0]
+        assert own.y == pytest.approx(ref.y.tolist(), abs=1e-15)
+        assert own.y == pytest.approx([math.sin(1.0), math.cos(1.0)], abs=1e-12)
+
+    def test_fails_below_ten_ulps_like_scipy(self):
+        # no step may cross t = 1, so the steps shrink onto it until they fall below 10 ulps
+        rhs = lambda t, y: [y[1], -y[0]] if t <= 1.0 else [math.nan, math.nan]
+        for cls in (DOP853, scipy.integrate.DOP853):
+            solver = cls(rhs, 0.0, [0.0, 1.0], 10.0, rtol=TOL, atol=TOL)
+            while solver.status == "running":
+                message = solver.step()
+            assert solver.status == "failed"
+            assert message == "Required step size is less than spacing between numbers."
+            assert 1.0 - 1e-12 < solver.t <= 1.0
+
+    def test_tableau_is_read_from_scipys_class(self, monkeypatch):
+        S = scipy.integrate.DOP853
+        tab = _tableau()
+        assert tab.B == S.B.tolist() and tab.E5 == S.E5.tolist() and tab.E3 == S.E3.tolist()
+        assert tab.D == S.D.tolist()
+        assert tab.stages == list(zip(S.A[1:].tolist(), S.C[1:].tolist()))
+        assert tab.extra == list(zip(S.A_EXTRA.tolist(), S.C_EXTRA.tolist()))
+        # no coefficient is written out in the module
+        source = inspect.getsource(oracle)
+        digits = [repr(float(c))[:12] for c in (*S.B, *S.C, *S.E5, *S.E3, *S.D.ravel())]
+        assert not [d for d in digits if len(d) == 12 and d in source]
+        # and a changed class attribute reaches the stepper once the cache is cleared
+        doubled = 2.0 * S.B
+        monkeypatch.setattr(S, "B", doubled)
+        _tableau.cache_clear()
+        try:
+            assert _tableau().B == doubled.tolist()
+        finally:
+            monkeypatch.undo()
+            _tableau.cache_clear()
+        assert _tableau().B == S.B.tolist()
 
 
 class TestStopRule:
