@@ -43,11 +43,12 @@ def cmd_compare(args) -> int:
     rep = report.build_report(
         args.beta, t_max=args.t_max, dt=args.dt, methods=methods, n_terms=args.terms
     )
+    csv, text = rep.to_csv(), rep.to_json() if args.json else None  # a refused report writes nothing
     with open(args.out, "w", newline="") as f:
-        f.write(rep.to_csv())
+        f.write(csv)
     if args.json:
         with open(args.json, "w") as f:
-            f.write(rep.to_json())
+            f.write(text)
     for m, (max_abs, rms) in sorted(rep.errors.items()):
         print(f"{m}: max_abs={_fmt(max_abs)} rms={_fmt(rms)}")
     return 0

@@ -142,10 +142,13 @@ class OracleTrajectory:
         """Positions x(t) = (-1)^k beta u(min(s, 2 tau - s)), s = t - 2 tau k, k = floor(t / 2 tau).
 
         H is even in x and in p, so the first quarter orbit, up to the turning time
-        tau, fixes every t; on [0, tau] this is the interpolant bit for bit.  A batch
-        with a NaN or a time outside [0, MAX_T_END] is refused, naming the first.
+        tau, fixes every t; on [0, tau] this is the interpolant bit for bit.  A batch that is
+        not 1-D is refused, naming its shape, and one with a NaN or a time outside
+        [0, MAX_T_END] naming the first.
         """
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise DomainError(f"times must form a 1-D sequence, got shape {ts.shape}")
         bad = np.flatnonzero(~((ts >= 0.0) & (ts <= MAX_T_END)))
         if bad.size:
             raise DomainError(f"t={ts[bad[0]]} outside [0, {MAX_T_END}]")

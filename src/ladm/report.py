@@ -195,12 +195,13 @@ def ladm_column(beta: float, n_terms: int, ts) -> np.ndarray:
 def sweep_csv(beta_min: float, beta_max: float, steps: int) -> str:
     """Per-beta accuracy summary, one CSV row per beta.
 
-    Each row comes from a ladm/oracle report on the grid t_max = 5, dt = 0.1.
+    Each row comes from a ladm/oracle report on the grid t_max = 5, dt = 0.1.  Fewer than
+    2 or more than MAX_GRID_POINTS steps are refused.
     """
     if not 0.0 < beta_min < beta_max < 1.0:
         raise DomainError("require 0 < beta_min < beta_max < 1")
-    if steps < 2:
-        raise DomainError("steps must be >= 2")
+    if not 2 <= steps <= MAX_GRID_POINTS:  # refused before any row is built
+        raise DomainError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {steps}")
     lines = ["beta,max_abs_err_ladm,omega_series,omega_hbm,oracle_period"]
     for i in range(steps):
         beta = beta_min + (beta_max - beta_min) * i / (steps - 1)

@@ -76,6 +76,9 @@ ERROR_COMMANDS = [
     "dimensional --beta 0.1 --omega0 1 --c 1 --t-max 1e300 --dt 1e300",
     "dimensional --beta 0.1 --omega0 1e-310 --c 1 --t-max 1 --dt 0.5",
     "period --beta 0.9999999999999999",
+    "compare --beta 0.5 --t-max 1000 --dt 1 --terms 100 --methods ladm,oracle"
+    " --out {d}/x.csv --json {d}/y.json",
+    "sweep --beta-min 0.05 --beta-max 0.99 --steps 1000001 --out {d}/s.csv",
 ]
 ORACLE_COMPARES = [
     "--beta 0.1 --t-max 20 --dt 0.5",
@@ -156,13 +159,15 @@ def command_outputs():
 
 
 def error_outputs():
-    """(name, exit code and stderr) of every command in ERROR_COMMANDS, run through ``cli.main``."""
-    for command in ERROR_COMMANDS:
-        with contextlib.redirect_stderr(err := io.StringIO()):
-            code = main(command.split())
-        if code == 0:
-            raise RuntimeError(f"ladm {command} exited 0")
-        yield f"error/{command}", f"exit {code}\n{err.getvalue()}"
+    """(name, exit code and stderr) of every command in ERROR_COMMANDS, run through ``cli.main``
+    with its output paths ``{d}/...`` in a temporary directory, which must stay empty."""
+    with tempfile.TemporaryDirectory() as d:
+        for command in ERROR_COMMANDS:
+            with contextlib.redirect_stderr(err := io.StringIO()):
+                code = main(command.format(d=d).split())
+            if code == 0 or any(Path(d).iterdir()):
+                raise RuntimeError(f"ladm {command} exited {code} or wrote a file")
+            yield f"error/{command}", f"exit {code}\n{err.getvalue()}"
 
 
 def report_hashes() -> dict[str, str]:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ladm import ComparisonReport, DomainError, build_report, integrate, oracle, period, sweep_csv
-from ladm import svgplot
+from ladm import report, svgplot
 from ladm.cli import build_parser, main
 from ladm.report import ALL_METHODS, MAX_GRID_POINTS, make_grid
 from ladm.solver import MAX_TERMS
@@ -163,6 +163,15 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("error: no method requested;")
         assert not out.exists() and not js.exists()
 
+    def test_refused_report_writes_nothing(self, tmp_path, capsys):
+        # every value is finite (up to 3.3e205), but the rms sum of squares overflows, so the
+        # report has no JSON; this used to leave the full CSV and an empty JSON behind
+        out, js = tmp_path / "x.csv", tmp_path / "y.json"
+        assert main(["compare", "--beta", "0.5", "--t-max", "1000", "--dt", "1", "--terms", "100",
+                     "--methods", "ladm,oracle", "--out", str(out), "--json", str(js)]) == 3
+        assert capsys.readouterr().err.startswith("error: a report holding NaN or inf has no JSON")
+        assert not out.exists() and not js.exists()
+
     def test_untabulated_method_exit_3(self, tmp_path, capsys):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
@@ -188,6 +197,25 @@ class TestSweepCommand:
     def test_range_violation_exit_3(self, tmp_path):
         assert main(["sweep", "--beta-min", "0.5", "--beta-max", "0.2",
                      "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 3
+
+
+    @pytest.mark.parametrize("steps", [MAX_GRID_POINTS + 1, 10**9])
+    def test_steps_past_the_grid_cap_exit_3(self, steps, tmp_path, capsys, monkeypatch):
+        # refused before any row is built; this used to build rows until memory ran out
+        monkeypatch.setattr(report, "build_report", None)  # a row would raise TypeError
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--beta-min", "0.1", "--beta-max", "0.3",
+                     "--steps", str(steps), "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: steps must lie in [2, {MAX_GRID_POINTS}], got {steps}\n")
+        assert not out.exists()
+
+    def test_steps_at_the_grid_cap_are_accepted(self, monkeypatch):
+        def first_row(*args, **kwargs):
+            raise RuntimeError("first row")
+        monkeypatch.setattr(report, "build_report", first_row)
+        with pytest.raises(RuntimeError, match="first row"):
+            sweep_csv(0.1, 0.3, MAX_GRID_POINTS)
 
 
 class TestPlotCommand:

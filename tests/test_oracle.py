@@ -366,6 +366,13 @@ class TestSampling:
         with pytest.raises(DomainError, match=rf"^t={first} outside \[0, 10000\.0\]$"):
             traj.sample_on_grid(ts)
 
+    @pytest.mark.parametrize("ts, shape", [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"),
+                                           (np.zeros((2, 0)), r"\(2, 0\)")])
+    def test_refuses_times_that_are_not_1d(self, long_trajectories, ts, shape):
+        # a scalar used to raise IndexError in _dense, and a 2-D array numpy's ValueError
+        with pytest.raises(DomainError, match=rf"^times must form a 1-D sequence, got shape {shape}$"):
+            long_trajectories[0.1].sample_on_grid(ts)
+
     def test_empty(self, long_trajectories):
         assert long_trajectories[0.1].sample_on_grid([]) == []
 
