@@ -6,14 +6,14 @@ relativistic energy H = sqrt(1 + p^2) + x^2/2,
     x' = p / sqrt(1 + p^2),    p' = -x,
 
 in units of the initial speed beta, (u, q) = (x, p) / beta, with a
-high-order embedded adaptive pair (scipy's DOP853, run on Python floats by
-this module's ``DOP853``, which moves the oracle by at most about 1e-12 * beta
-from scipy's own class) and dense output.  So the tolerance is relative
-to the amplitude for every beta, subnormal ones included.  The speed
-x' = p / sqrt(1 + p^2) stays below 1 for every momentum p, and H is an
-exact first integral, tracked relative to H - 1 as a correctness monitor
-and never enforced.  scipy, which supplies the DOP853 tableau, the step
-interpolants, ``OdeSolution`` and ``brentq``, is imported on the first
+high-order embedded adaptive pair and dense output: scipy's DOP853, run on
+Python floats by ``DOP853`` below, within a few ulps of scipy's periods and
+1e-12 * beta of its positions up to t = 1000 for beta <= 0.999.  So the
+tolerance is relative to the amplitude for every beta, subnormal ones
+included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
+momentum p, and H is an exact first integral, tracked relative to H - 1 as
+a correctness monitor and never enforced.  scipy supplies the tableau, the
+step interpolants, ``OdeSolution`` and ``brentq``, imported on the first
 ``integrate``, so importing this module costs numpy alone.
 """
 
@@ -46,14 +46,6 @@ def _tableau() -> SimpleNamespace:
     return t
 
 
-def _stage(fun, t, y, h, K, a, c) -> list[float]:
-    """Append fun(t + c h, z) to the stage columns K, for z = y + h sum_j a_j K_j; return z."""
-    z = [y[0] + fsum(map(mul, a, K[0])) * h, y[1] + fsum(map(mul, a, K[1])) * h]
-    for k, v in zip(K, fun(t + c * h, z)):
-        k.append(v)
-    return z
-
-
 class DOP853:
     """scipy's ``DOP853(fun, t0, y0, t_bound, rtol=, atol=)`` stepping two equations forward on
     Python floats, each stage sum one ``math.fsum``, correctly rounded on every Python."""
@@ -69,6 +61,13 @@ class DOP853:
         h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
         self.h_abs = min(100 * h0, h1, length)
 
+    def _stage(self, t, y, h, K, a, c) -> list[float]:
+        """Append fun(t + c h, z) to the stage columns K, for z = y + h sum_j a_j K_j; return z."""
+        z = [y[0] + fsum(map(mul, a, K[0])) * h, y[1] + fsum(map(mul, a, K[1])) * h]
+        for k, v in zip(K, self.fun(t + c * h, z)):
+            k.append(v)
+        return z
+
     def step(self):
         """Take one accepted step, or fail with scipy's message below 10 ulps of t."""
         tab, t, y, min_step, rejected = self.tab, self.t, self.y, 10.0 * math.ulp(self.t), False
@@ -78,8 +77,8 @@ class DOP853:
             h = h_abs = t_new - t
             K = [[self.f[0]], [self.f[1]]]  # K[i][j]: stage j of component i
             for a, c in tab.stages:
-                _stage(self.fun, t, y, h, K, a, c)
-            y_new = _stage(self.fun, t, y, h, K, tab.B, 1.0)  # the last stage is f at y_new
+                self._stage(t, y, h, K, a, c)
+            y_new = self._stage(t, y, h, K, tab.B, 1.0)  # the last stage is f at y_new
             sc = [self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new)]
             e5, e3 = ([fsum(map(mul, E, k)) / s for k, s in zip(K, sc)] for E in (tab.E5, tab.E3))
             n5, n3 = e5[0] * e5[0] + e5[1] * e5[1], e3[0] * e3[0] + e3[1] * e3[1]
@@ -99,7 +98,7 @@ class DOP853:
         """scipy's interpolant of the last step, after its three extra stages."""
         tab, h, y_old, K = self.tab, self.h_previous, self.y_old, [list(k) for k in self.K]
         for a, c in tab.extra:
-            _stage(self.fun, self.t_old, y_old, h, K, a, c)
+            self._stage(self.t_old, y_old, h, K, a, c)
         dy = [v - v_old for v, v_old in zip(self.y, y_old)]
         F = [dy, [h * k[0] - d for k, d in zip(K, dy)],  # scipy's rows F[0], F[1], F[2] and F[3:]
              [2 * d - h * (k[12] + k[0]) for k, d in zip(K, dy)],

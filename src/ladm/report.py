@@ -193,10 +193,9 @@ def ladm_column(beta: float, n_terms: int, ts) -> np.ndarray:
 
 
 def sweep_csv(beta_min: float, beta_max: float, steps: int) -> str:
-    """Per-beta accuracy summary, one CSV row per beta.
+    """Per-beta accuracy summary, one CSV row per beta, for 2 to MAX_GRID_POINTS steps.
 
-    Each row comes from a ladm/oracle report on the grid t_max = 5, dt = 0.1.  Fewer than
-    2 or more than MAX_GRID_POINTS steps are refused.
+    Each row comes from a ladm/oracle report on the grid t_max = 5, dt = 0.1.
     """
     if not 0.0 < beta_min < beta_max < 1.0:
         raise DomainError("require 0 < beta_min < beta_max < 1")
