@@ -7,8 +7,8 @@ relativistic energy H = sqrt(1 + p^2) + x^2/2,
 
 in units of the initial speed beta, (u, q) = (x, p) / beta, with a
 high-order embedded adaptive pair and dense output: scipy's DOP853, run on
-Python floats by ``DOP853`` below, within a few ulps of scipy's periods and
-1e-12 * beta of its positions up to t = 1000 for beta <= 0.999.  So the
+Python floats by ``DOP853`` below, within 4e-15 of scipy's periods (relative)
+and 1e-12 * beta of its positions up to t = 1000 for beta <= 0.999.  So the
 tolerance is relative to the amplitude for every beta, subnormal ones
 included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
 momentum p, and H is an exact first integral, tracked relative to H - 1 as
