@@ -8,6 +8,7 @@ malformed JSON report, 4 oracle failure; the reason goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -44,11 +45,12 @@ def cmd_compare(args) -> int:
         args.beta, t_max=args.t_max, dt=args.dt, methods=methods, n_terms=args.terms
     )
     csv, text = rep.to_csv(), rep.to_json() if args.json else None  # a refused report writes nothing
-    with open(args.out, "w", newline="") as f:
-        f.write(csv)
-    if args.json:
-        with open(args.json, "w") as f:
-            f.write(text)
+    # open --json, then --out, and write neither until both are open
+    with open(args.json, "w") if args.json else contextlib.nullcontext() as j:
+        with open(args.out, "w", newline="") as f:
+            f.write(csv)
+            if j:
+                j.write(text)
     for m, (max_abs, rms) in sorted(rep.errors.items()):
         print(f"{m}: max_abs={_fmt(max_abs)} rms={_fmt(rms)}")
     return 0
@@ -65,9 +67,8 @@ def cmd_sweep(args) -> int:
 def cmd_plot(args) -> int:
     with open(args.infile, "rb") as f:  # bytes: bad encodings are malformed JSON
         rep = report.ComparisonReport.from_json(f.read())
-    xs = list(rep.grid)
-    series = {m: (xs, list(rep.columns[m])) for m in rep.method_names()}
-    svg = svgplot.render_lines(series, title=f"Oscillator comparison, beta={rep.beta}")
+    columns = {m: rep.columns[m] for m in rep.method_names()}
+    svg = svgplot.render_lines(rep.grid, columns, title=f"Oscillator comparison, beta={rep.beta}")
     with open(args.out, "w") as f:
         f.write(svg)
     return 0

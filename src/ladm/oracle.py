@@ -6,9 +6,10 @@ relativistic energy H = sqrt(1 + p^2) + x^2/2,
     x' = p / sqrt(1 + p^2),    p' = -x,
 
 in units of the initial speed beta, (u, q) = (x, p) / beta, with a
-high-order embedded adaptive pair and dense output: scipy's DOP853, run on
-Python floats by ``DOP853`` below, within 4e-15 of scipy's periods (relative)
-and 1e-12 * beta of its positions up to t = 1000 for beta <= 0.999.  So the
+high-order embedded adaptive pair and dense output: scipy's DOP853, stepped on
+Python floats by the generator ``_dop853`` below, which yields each accepted
+step with its interpolant, within 4e-15 of scipy's periods (relative) and
+1e-12 * beta of its positions up to t = 1000 for beta <= 0.999.  So the
 tolerance is relative to the amplitude for every beta, subnormal ones
 included.  The speed x' = p / sqrt(1 + p^2) stays below 1 for every
 momentum p, and H is an exact first integral, tracked relative to H - 1 as
@@ -46,64 +47,53 @@ def _tableau() -> SimpleNamespace:
     return t
 
 
-class DOP853:
-    """scipy's ``DOP853(fun, t0, y0, t_bound, rtol=, atol=)`` stepping two equations forward on
-    Python floats, each stage sum one ``math.fsum``, correctly rounded on every Python."""
+def _dop853(fun, y0):
+    """scipy's DOP853 stepping two equations from t = 0 toward MAX_T_END at TOL on Python floats,
+    each stage sum one ``math.fsum``, correctly rounded on every Python.  Yields (t, y, the step's
+    interpolant) for each accepted step; fails with scipy's message below 10 ulps of t."""
+    tab, t, y = _tableau(), 0.0, list(y0)
+    f, scale = fun(t, y), [TOL + abs(v) * TOL for v in y]  # select_initial_step, error order 7
+    rms = lambda v: math.hypot(*map(truediv, v, scale)) / 2**0.5
+    d0, d1 = rms(y), rms(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, MAX_T_END)
+    d2 = rms(map(sub, fun(h0, [v + h0 * d for v, d in zip(y, f)]), f)) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, MAX_T_END)
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        self.fun, self.t, self.y, self.t_bound, self.status = fun, t0, list(y0), t_bound, "running"
-        self.rtol, self.atol, self.tab, self.f = rtol, atol, _tableau(), fun(t0, self.y)
-        scale = [atol + abs(v) * rtol for v in self.y]  # select_initial_step, error order 7
-        rms = lambda v: math.hypot(*map(truediv, v, scale)) / 2**0.5
-        d0, d1, length = rms(self.y), rms(self.f), t_bound - t0
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-        d2 = rms(map(sub, fun(t0 + h0, [v + h0 * d for v, d in zip(self.y, self.f)]), self.f)) / h0
-        h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-        self.h_abs = min(100 * h0, h1, length)
-
-    def _stage(self, t, y, h, K, a, c) -> list[float]:
-        """Append fun(t + c h, z) to the stage columns K, for z = y + h sum_j a_j K_j; return z."""
+    def stage(K, a, c) -> list[float]:  # append fun(t + c h, z) to the columns K, z = y + h sum a K
         z = [y[0] + fsum(map(mul, a, K[0])) * h, y[1] + fsum(map(mul, a, K[1])) * h]
-        for k, v in zip(K, self.fun(t + c * h, z)):
+        for k, v in zip(K, fun(t + c * h, z)):
             k.append(v)
         return z
 
-    def step(self):
-        """Take one accepted step, or fail with scipy's message below 10 ulps of t."""
-        tab, t, y, min_step, rejected = self.tab, self.t, self.y, 10.0 * math.ulp(self.t), False
-        h_abs = max(self.h_abs, min_step)
+    while t < MAX_T_END:
+        min_step, rejected = 10.0 * math.ulp(t), False
+        h_abs = max(h_abs, min_step)
         while h_abs >= min_step:
-            t_new = min(t + h_abs, self.t_bound)
+            t_new = min(t + h_abs, MAX_T_END)
             h = h_abs = t_new - t
-            K = [[self.f[0]], [self.f[1]]]  # K[i][j]: stage j of component i
+            K = [[f[0]], [f[1]]]  # K[i][j]: stage j of component i
             for a, c in tab.stages:
-                self._stage(t, y, h, K, a, c)
-            y_new = self._stage(t, y, h, K, tab.B, 1.0)  # the last stage is f at y_new
-            sc = [self.atol + max(abs(a), abs(b)) * self.rtol for a, b in zip(y, y_new)]
+                stage(K, a, c)
+            y_new = stage(K, tab.B, 1.0)  # the last stage, K[i][12], is f at y_new
+            sc = [TOL + max(abs(a), abs(b)) * TOL for a, b in zip(y, y_new)]
             e5, e3 = ([fsum(map(mul, E, k)) / s for k, s in zip(K, sc)] for E in (tab.E5, tab.E3))
             n5, n3 = e5[0] * e5[0] + e5[1] * e5[1], e3[0] * e3[0] + e3[1] * e3[1]
             error = 0.0 if n5 == n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
             if error < 1.0:
-                factor = 0.9 * error**-0.125 if error else 10.0
-                self.h_abs = h_abs * min(1.0 if rejected else 10.0, factor)
-                self.t_old, self.y_old, self.h_previous, self.K = t, y, h, K
-                self.t, self.y, self.f = t_new, y_new, [K[0][-1], K[1][-1]]
-                self.status = "finished" if t_new >= self.t_bound else "running"
-                return None
+                break
             h_abs, rejected = h_abs * max(0.2, 0.9 * error**-0.125), True
-        self.status = "failed"
-        return "Required step size is less than spacing between numbers."
-
-    def dense_output(self):
-        """scipy's interpolant of the last step, after its three extra stages."""
-        tab, h, y_old, K = self.tab, self.h_previous, self.y_old, [list(k) for k in self.K]
-        for a, c in tab.extra:
-            self._stage(self.t_old, y_old, h, K, a, c)
-        dy = [v - v_old for v, v_old in zip(self.y, y_old)]
-        F = [dy, [h * k[0] - d for k, d in zip(K, dy)],  # scipy's rows F[0], F[1], F[2] and F[3:]
+        else:
+            raise OracleError("Required step size is less than spacing between numbers.")
+        h_abs *= min(1.0 if rejected else 10.0, 0.9 * error**-0.125 if error else 10.0)
+        for a, c in tab.extra:  # scipy's dense output: three more stages, then its rows of F
+            stage(K, a, c)
+        dy = [v - v_old for v, v_old in zip(y_new, y)]
+        F = [dy, [h * k[0] - d for k, d in zip(K, dy)],
              [2 * d - h * (k[12] + k[0]) for k, d in zip(K, dy)],
              *([h * fsum(map(mul, r, k)) for k in K] for r in tab.D)]
-        return tab.interpolant(self.t_old, self.t, np.array(y_old), np.array(F))
+        yield t_new, y_new, tab.interpolant(t, t_new, np.array(y), np.array(F))
+        t, y, f = t_new, y_new, [K[0][12], K[1][12]]
 
 
 def _excess_energy(beta, u, q):
@@ -198,18 +188,16 @@ def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
         return [y[1] / math.hypot(1.0, beta * y[1]), -y[0]]
 
     y0 = [0.0, 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))]
+    ts, ys, steps, turned = [0.0], [y0], [], False
     try:
-        solver = DOP853(rhs, 0.0, y0, MAX_T_END, rtol=TOL, atol=TOL)
-        ts, ys, steps, turned = [0.0], [y0], [], False
-        while solver.status == "running" and not (turned and ts[-1] >= until):
-            message = solver.step()
-            if solver.status == "failed":
-                raise OracleError(f"integration failed for beta={beta}: {message}")
-            ts.append(solver.t)
-            ys.append(solver.y)
-            steps.append(solver.dense_output())
+        for t, y, step in _dop853(rhs, y0):
+            ts.append(t)
+            ys.append(y)
+            steps.append(step)
             turned = turned or ys[-2][1] > 0.0 >= ys[-1][1]
-    except (ValueError, FloatingPointError) as exc:
+            if turned and t >= until:
+                break
+    except (ValueError, FloatingPointError, OracleError) as exc:
         raise OracleError(f"integration failed for beta={beta}: {exc}") from exc
 
     from scipy.integrate import OdeSolution

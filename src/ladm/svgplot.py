@@ -7,6 +7,7 @@ One <polyline> per data series; axes and legend swatches use <line> and
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from html import escape
 
 import numpy as np
@@ -23,28 +24,24 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def render_lines(
-    series: dict[str, tuple[list[float], list[float]]], title: str
-) -> str:
-    """Build an SVG document; series maps label -> (xs, ys).
+def render_lines(xs: Sequence[float], columns: dict[str, Sequence[float]], title: str) -> str:
+    """Build an SVG document; columns maps label -> ys, each over the shared x grid xs.
 
-    No data point, a series whose xs and ys differ in length, a value that
+    No data point, a column whose length is not that of xs, a value that
     is not finite, and data whose padded x or y span is not a positive
     finite float (it cannot be scaled to pixels) raise DomainError.
     """
-    unique_xs = {id(xs): xs for xs, _ in series.values()}  # each formatted once, below
-    all_x = [x for xs in unique_xs.values() for x in xs]
-    all_y = [y for _, ys in series.values() for y in ys]
-    if not all_x or any(len(xs) != len(ys) for xs, ys in series.values()):
-        raise DomainError("need data points, and as many ys as xs in each series")
-    if not np.isfinite(all_x + all_y).all():  # min and max skip a NaN that is not first
+    all_y = [y for ys in columns.values() for y in ys]
+    if not xs or not columns or any(len(ys) != len(xs) for ys in columns.values()):
+        raise DomainError("need data points, and as many ys as xs in each column")
+    if not np.isfinite([*xs, *all_y]).all():  # min and max skip a NaN that is not first
         raise DomainError("cannot plot values that are not finite")
 
     def span(vals: list[float]) -> tuple[float, float]:
         lo, hi = min(vals), max(vals)
         return (lo - 1.0, hi + 1.0) if hi == lo else (lo, hi)
 
-    (x_lo, x_hi), (y_lo, y_hi) = span(all_x), span(all_y)
+    (x_lo, x_hi), (y_lo, y_hi) = span(xs), span(all_y)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not all(0.0 < s < math.inf for s in (x_hi - x_lo, y_hi - y_lo)):
@@ -79,11 +76,10 @@ def render_lines(
             f'<text x="{MARGIN - 8}" y="{py(yt) + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yt:.3g}</text>'
         )
-    points = {k: " ".join(map("%.2f,%%.2f".__mod__, px(np.asarray(xs)).tolist()))  # x0,%.2f ...
-              for k, xs in unique_xs.items()}
-    for i, (label, (xs, ys)) in enumerate(series.items()):
+    points = " ".join(map("%.2f,%%.2f".__mod__, px(np.asarray(xs)).tolist()))  # x0,%.2f ...
+    for i, (label, ys) in enumerate(columns.items()):
         color = PALETTE[i % len(PALETTE)]
-        pts = points[id(xs)] % tuple(py(np.asarray(ys)).tolist())
+        pts = points % tuple(py(np.asarray(ys)).tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

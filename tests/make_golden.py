@@ -26,10 +26,15 @@ a relative 1e-10, the ``compare/*`` values to an absolute 1e-10 times the
 largest |oracle| of their report (the columns pass through zero), and the
 hashes exactly.
 
-Run from the repository root after a change that is meant to move these
-outputs, and name the cases that changed:
+Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden.py
+
+It writes only the keys that a golden file lacks, and prints, but never
+overwrites, each pinned key whose current value differs and each pinned key
+that is no longer computed.  So a moved value stays pinned until you re-pin
+it on purpose: delete its key from the golden file, run the script again,
+and name the cases that changed.
 """
 
 from __future__ import annotations
@@ -205,8 +210,22 @@ def oracle_values() -> dict[str, list[float]]:
     return values
 
 
+def pin(path: Path, current: dict) -> None:
+    """Add to ``path`` the keys of ``current`` that it lacks; name each pinned key that moved."""
+    pinned = json.loads(path.read_text()) if path.exists() else {}
+    for key, value in pinned.items():
+        if key not in current:
+            print(f"{path.name}: {key} is pinned but no longer computed")
+        elif current[key] != value:
+            print(f"{path.name}: {key} differs from its pinned value, which is kept")
+    missing = [key for key in current if key not in pinned]
+    if missing:
+        path.write_text(json.dumps({k: pinned.get(k, v) for k, v in current.items()} | pinned,
+                                   indent=1) + "\n")
+        print(f"{path.name}: pinned {len(missing)} new keys")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(hashes(), indent=1) + "\n")
-    GOLDEN_ORACLE.write_text(json.dumps(oracle_values(), indent=1) + "\n")
-    GOLDEN_REPORT.write_text(json.dumps(report_hashes(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}, {GOLDEN_ORACLE} and {GOLDEN_REPORT}")
+    pin(GOLDEN, hashes())
+    pin(GOLDEN_ORACLE, oracle_values())
+    pin(GOLDEN_REPORT, report_hashes())

@@ -172,6 +172,16 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("error: a report holding NaN or inf has no JSON")
         assert not out.exists() and not js.exists()
 
+    def test_unopenable_json_writes_no_csv(self, tmp_path, capsys):
+        # the --json path is opened before the --out path; this used to leave the full CSV behind
+        out = tmp_path / "pp.csv"
+        assert main(["compare", "--beta", "0.1", "--t-max", "2", "--dt", "0.5",
+                     "--methods", "ladm,hbm", "--out", str(out),
+                     "--json", str(tmp_path / "missing_dir" / "y.json")]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: ") and "missing_dir" in err
+        assert not out.exists()
+
     def test_untabulated_method_exit_3(self, tmp_path, capsys):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
@@ -250,40 +260,29 @@ class TestPlotCommand:
 
     def test_title_and_labels_escape_markup_only(self):
         # &, < and > are escaped; quotes stay as they are, outside any attribute
-        svg = svgplot.render_lines({"x & <y> \"q\" 's'": ([0.0, 1.0], [0.0, 1.0])},
+        svg = svgplot.render_lines([0.0, 1.0], {"x & <y> \"q\" 's'": [0.0, 1.0]},
                                    title="a & <b> \"c\" 'd'").splitlines()
         assert svg[3] == ('<text x="360.0" y="28" text-anchor="middle" font-family="sans-serif" '
                           'font-size="16">a &amp; &lt;b&gt; "c" \'d\'</text>')
         assert svg[-2] == ('<text x="608" y="64" font-family="sans-serif" '
                            'font-size="12">x &amp; &lt;y&gt; "q" \'s\'</text>')
 
-    @pytest.mark.parametrize("series", [
-        {"a": ([0, 1, 2], [1, math.nan, 2])},
-        {"a": ([0, 1, 2], [math.nan, 1, 2])},
-        {"a": ([0, math.inf, 2], [0, 1, 2])},
-        {"a": ([0, 1, 2], [0, 1, 2]), "b": ([0, 1, 2], [0, -math.inf, 2])},
-        {},
-        {"a": ([], [])},
-        {"a": ([0, 1, 2], [0, 1])},
-        {"a": ([0, 1, 2], [0, 1, 2]), "b": ([0, 1], [0, 1, 2])},
+    @pytest.mark.parametrize("xs, columns", [
+        ([0, 1, 2], {"a": [1, math.nan, 2]}),
+        ([0, 1, 2], {"a": [math.nan, 1, 2]}),
+        ([0, math.inf, 2], {"a": [0, 1, 2]}),
+        ([0, 1, 2], {"a": [0, 1, 2], "b": [0, -math.inf, 2]}),
+        ([0, 1, 2], {}),
+        ([], {"a": []}),
+        ([0, 1, 2], {"a": [0, 1]}),
+        ([0, 1, 2], {"a": [0, 1, 2], "b": [0, 1, 2, 3]}),
     ], ids=["nan-inside", "nan-first", "x-inf", "neg-inf-second-series", "no-series",
             "no-points", "short-ys", "long-ys"])
-    def test_render_lines_refuses_bad_data(self, series):
+    def test_render_lines_refuses_bad_data(self, xs, columns):
         # nan-inside wrote "nan" coordinates (min and max skip a NaN that is not
         # first), no-series raised ValueError, and zip truncated short-ys and long-ys
         with pytest.raises(DomainError):
-            svgplot.render_lines(series, title="t")
-
-    def test_render_lines_formats_each_xs_for_its_own_series(self):
-        shared = [0.0, 1.0, 2.0]
-        series = {"a": (shared, [0.0, 1.0, 0.0]), "b": ([0.0, 4.0], [1.0, 0.5]),
-                  "c": (shared, [1.0, 0.0, 1.0])}
-        doc = xml.dom.minidom.parseString(svgplot.render_lines(series, title="t"))
-        points = [pl.getAttribute("points").split() for pl in doc.getElementsByTagName("polyline")]
-        assert [[p.split(",")[0] for p in pts] for pts in points] == [
-            ["60.00", "210.00", "360.00"], ["60.00", "660.00"], ["60.00", "210.00", "360.00"]]
-        separate = {m: (list(xs), ys) for m, (xs, ys) in series.items()}
-        assert svgplot.render_lines(separate, title="t") == svgplot.render_lines(series, title="t")
+            svgplot.render_lines(xs, columns, title="t")
 
     def test_unwritable_output_fails_nonzero(self, report_json, tmp_path):
         code = main(["plot", "--in", str(report_json),

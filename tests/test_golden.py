@@ -10,14 +10,14 @@ compared with the values in ``golden_oracle.json``: the periods and sweep
 rows to a relative 1e-10, and the oracle outputs of each ``compare`` to an
 absolute 1e-10 times the largest |oracle| of that report, since its columns
 and errors pass through zero.  ``make_golden.py`` documents the cases and
-rewrites all three files when a change is meant to move them.
+pins the keys that a golden file lacks; a value is re-pinned by deleting its key.
 """
 
 import json
 
 import pytest
 
-from make_golden import (GOLDEN, GOLDEN_ORACLE, GOLDEN_REPORT, cases, digest, oracle_values,
+from make_golden import (GOLDEN, GOLDEN_ORACLE, GOLDEN_REPORT, cases, digest, oracle_values, pin,
                          report_hashes)
 
 EXPECTED = json.loads(GOLDEN.read_text())
@@ -77,3 +77,18 @@ def test_same_report_cases(computed_report):
 @pytest.mark.parametrize("name", sorted(EXPECTED_REPORT))
 def test_report_byte_identical(computed_report, name):
     assert computed_report[name] == EXPECTED_REPORT[name]
+
+
+def test_pin_adds_missing_keys_and_keeps_moved_ones(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"b": [1.0], "gone": [0.0]}, indent=1) + "\n")
+    pin(path, {"a": [2.0], "b": [1.5]})
+    assert list(json.loads(path.read_text()).items()) == [("a", [2.0]), ("b", [1.0]),
+                                                          ("gone", [0.0])]
+    out = capsys.readouterr().out
+    assert "b differs from its pinned value" in out and "gone is pinned but no longer" in out
+    # with no key missing, the file is left as it is
+    text = path.read_text()
+    pin(path, {"a": [3.0], "b": [1.0], "gone": [0.0]})
+    assert path.read_text() == text
+    assert "a differs from its pinned value" in capsys.readouterr().out

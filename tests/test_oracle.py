@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from ladm import DomainError, OracleError, build_report, hbm_frequency, integrate, oracle, period
-from ladm.oracle import (_MONITOR_SAMPLES, DOP853, MAX_T_END, TOL, OracleTrajectory, _dense,
+from ladm.oracle import (_MONITOR_SAMPLES, MAX_T_END, TOL, OracleTrajectory, _dense, _dop853,
                          _excess_energy, _tableau)
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
@@ -179,15 +179,24 @@ class TestIntegrate:
         # the cap passes the check, and it is the integrator's bound whatever until is
         bounds = []
 
-        def dop853_reached(fun, t0, y0, t_bound, **kwargs):
-            bounds.append(t_bound)
+        def dop853_reached(fun, y0):
+            bounds.append(oracle.MAX_T_END)
             raise ValueError("integrator reached")
 
-        monkeypatch.setattr(oracle, "DOP853", dop853_reached)
+        monkeypatch.setattr(oracle, "_dop853", dop853_reached)
         for until in (MAX_T_END, 20.0, 0.0):
             with pytest.raises(OracleError, match="integrator reached"):
                 integrate(0.5, until)
         assert bounds == [MAX_T_END] * 3
+
+    def test_stepper_failure_names_beta(self, monkeypatch):
+        # no step may cross t = 1, short of the turn at t ~ 1.66, so the stepper fails there
+        stepper = oracle._dop853
+        monkeypatch.setattr(oracle, "_dop853", lambda fun, y0: stepper(
+            lambda t, y: fun(t, y) if t <= 1.0 else [math.nan, math.nan], y0))
+        with pytest.raises(OracleError, match=r"^integration failed for beta=0\.5: Required step "
+                                              r"size is less than spacing between numbers\.$"):
+            integrate(0.5)
 
     def test_missing_scipy_is_not_an_oracle_error(self, monkeypatch):
         # a missing scipy raises ImportError, never the OracleError of exit 4
@@ -196,8 +205,17 @@ class TestIntegrate:
             integrate(0.5)
 
 
+def _scipy_dop853(fun, y0):
+    """scipy's ``DOP853`` class behind the generator interface of ``oracle._dop853``."""
+    solver = scipy.integrate.DOP853(fun, 0.0, y0, oracle.MAX_T_END, rtol=TOL, atol=TOL)
+    while solver.status == "running":
+        if message := solver.step():
+            raise OracleError(message)
+        yield solver.t, solver.y.tolist(), solver.dense_output()
+
+
 class TestStepper:
-    """``oracle.DOP853`` against scipy's ``DOP853`` class, its test oracle, on the same system.
+    """``oracle._dop853`` against scipy's ``DOP853`` class, its test oracle, on the same system.
 
     Each stage sum is one ``math.fsum`` where scipy takes a numpy dot product.  The embedded
     error estimate cancels about seven digits, so those last-bit differences move each step
@@ -207,7 +225,7 @@ class TestStepper:
     @staticmethod
     def _with_scipy(beta, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(oracle, "DOP853", scipy.integrate.DOP853)
+            m.setattr(oracle, "_dop853", _scipy_dop853)
             return integrate(beta)
 
     @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99])
@@ -233,29 +251,26 @@ class TestStepper:
         assert {type(d) for d in steps} == {_tableau().interpolant}
         assert all(d.F.shape == (7, 2) and d.y_old.shape == (2,) for d in steps)
 
-    def test_finishes_at_the_bound_like_scipy(self):
+    def test_finishes_at_the_bound_like_scipy(self, monkeypatch):
         # the harmonic oscillator to t = 1: the last step is cut to land on the bound
+        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)
         rhs = lambda t, y: [y[1], -y[0]]
-        own, ref = (cls(rhs, 0.0, [0.0, 1.0], 1.0, rtol=TOL, atol=TOL)
-                    for cls in (DOP853, scipy.integrate.DOP853))
-        for solver in (own, ref):
-            while solver.status == "running":
-                assert solver.step() is None
-        assert own.status == ref.status == "finished"
-        assert own.t == ref.t == 1.0
-        assert own.y == pytest.approx(ref.y.tolist(), abs=1e-15)
-        assert own.y == pytest.approx([math.sin(1.0), math.cos(1.0)], abs=1e-12)
+        own, ref = (list(stepper(rhs, [0.0, 1.0])) for stepper in (_dop853, _scipy_dop853))
+        assert own[-1][0] == ref[-1][0] == 1.0
+        assert own[-1][1] == pytest.approx(ref[-1][1], abs=1e-15)
+        assert own[-1][1] == pytest.approx([math.sin(1.0), math.cos(1.0)], abs=1e-12)
 
-    def test_fails_below_ten_ulps_like_scipy(self):
+    def test_fails_below_ten_ulps_like_scipy(self, monkeypatch):
         # no step may cross t = 1, so the steps shrink onto it until they fall below 10 ulps
+        monkeypatch.setattr(oracle, "MAX_T_END", 10.0)
         rhs = lambda t, y: [y[1], -y[0]] if t <= 1.0 else [math.nan, math.nan]
-        for cls in (DOP853, scipy.integrate.DOP853):
-            solver = cls(rhs, 0.0, [0.0, 1.0], 10.0, rtol=TOL, atol=TOL)
-            while solver.status == "running":
-                message = solver.step()
-            assert solver.status == "failed"
-            assert message == "Required step size is less than spacing between numbers."
-            assert 1.0 - 1e-12 < solver.t <= 1.0
+        for stepper in (_dop853, _scipy_dop853):
+            ts = []
+            with pytest.raises(OracleError, match=r"^Required step size is less than spacing "
+                                                  r"between numbers\.$"):
+                for t, _, _ in stepper(rhs, [0.0, 1.0]):
+                    ts.append(t)
+            assert 1.0 - 1e-12 < ts[-1] <= 1.0
 
     def test_tableau_is_read_from_scipys_class(self, monkeypatch):
         S = scipy.integrate.DOP853
