@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from . import oracle, report, svgplot
@@ -47,7 +48,14 @@ def cmd_compare(args) -> int:
     csv, text = rep.to_csv(), rep.to_json() if args.json else None  # a refused report writes nothing
     # open --json, then --out, and write neither until both are open
     with open(args.json, "w") if args.json else contextlib.nullcontext() as j:
-        with open(args.out, "w", newline="") as f:
+        try:
+            f = open(args.out, "w", newline="")
+        except OSError:
+            if j:  # leave no empty --json behind
+                j.close()
+                os.remove(args.json)
+            raise
+        with f:
             f.write(csv)
             if j:
                 j.write(text)

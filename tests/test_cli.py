@@ -172,15 +172,18 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("error: a report holding NaN or inf has no JSON")
         assert not out.exists() and not js.exists()
 
-    def test_unopenable_json_writes_no_csv(self, tmp_path, capsys):
-        # the --json path is opened before the --out path; this used to leave the full CSV behind
-        out = tmp_path / "pp.csv"
+    @pytest.mark.parametrize("out, js", [("pp.csv", "missing_dir/y.json"),
+                                         ("missing_dir/pp.csv", "y.json")],
+                             ids=["json-dir-missing", "out-dir-missing"])
+    def test_unopenable_path_writes_nothing(self, out, js, tmp_path, capsys):
+        # both paths are opened before either is written; json-dir-missing used to leave the
+        # full CSV behind, and opening --json first must not leave an empty one
         assert main(["compare", "--beta", "0.1", "--t-max", "2", "--dt", "0.5",
-                     "--methods", "ladm,hbm", "--out", str(out),
-                     "--json", str(tmp_path / "missing_dir" / "y.json")]) == 1
+                     "--methods", "ladm,hbm", "--out", str(tmp_path / out),
+                     "--json", str(tmp_path / js)]) == 1
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("error: ") and "missing_dir" in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_untabulated_method_exit_3(self, tmp_path, capsys):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
