@@ -47,18 +47,21 @@ def cmd_compare(args) -> int:
     )
     csv, text = rep.to_csv(), rep.to_json() if args.json else None  # a refused report writes nothing
     # open --json, then --out, and write neither until both are open
+    made = args.json and not os.path.exists(args.json)
     with open(args.json, "w") if args.json else contextlib.nullcontext() as j:
         try:
             f = open(args.out, "w", newline="")
         except OSError:
-            if j:  # leave no empty --json behind
+            if made:  # remove the empty --json that opening it created, and nothing else
                 j.close()
                 os.remove(args.json)
             raise
         with f:
             f.write(csv)
-            if j:
-                j.write(text)
+        if j:  # after the CSV is closed, and cut at its end, in case --out names the same file
+            j.write(text)
+            if j.seekable():
+                j.truncate()
     for m, (max_abs, rms) in sorted(rep.errors.items()):
         print(f"{m}: max_abs={_fmt(max_abs)} rms={_fmt(rms)}")
     return 0

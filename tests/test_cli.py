@@ -185,6 +185,31 @@ class TestCompareCommand:
         assert out_text == "" and err.startswith("error: ") and "missing_dir" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unopenable_out_keeps_an_existing_json(self, tmp_path):
+        # only a --json file that opening created is removed; an existing one, such as
+        # /dev/stdout, stays
+        js = tmp_path / "y.json"
+        js.write_text("{}")
+        assert main(["compare", "--beta", "0.1", "--t-max", "2", "--dt", "0.5",
+                     "--out", str(tmp_path / "missing_dir" / "pp.csv"), "--json", str(js)]) == 1
+        assert js.exists()
+
+    def test_one_path_for_both_holds_the_json(self, tmp_path):
+        # on this grid the CSV is longer than the JSON, whose end the CSV's tail must not follow
+        argv = ["compare", "--beta", "0.1", "--t-max", "20", "--dt", "0.01"]
+        assert main(argv + ["--out", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json")]) == 0
+        assert (tmp_path / "a.csv").stat().st_size > (tmp_path / "a.json").stat().st_size
+        assert main(argv + ["--out", str(tmp_path / "both"), "--json", str(tmp_path / "both")]) == 0
+        assert (tmp_path / "both").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+    def test_json_to_a_pipe(self, tmp_path):
+        code = f"import sys; sys.path.insert(0, {str(SRC)!r}); from ladm.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run([sys.executable, "-c", code, "compare", "--beta", "0.1", "--t-max", "1",
+                              "--out", str(tmp_path / "a.csv"), "--json", "/dev/stdout"],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout[:run.stdout.rindex("}") + 1])["beta"] == 0.1
+
     def test_untabulated_method_exit_3(self, tmp_path, capsys):
         code = main(["compare", "--beta", "0.3", "--t-max", "1", "--dt", "0.5",
                      "--methods", "dtm,oracle", "--out", str(tmp_path / "x.csv")])
