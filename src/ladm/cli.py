@@ -46,19 +46,12 @@ def cmd_compare(args) -> int:
         args.beta, t_max=args.t_max, dt=args.dt, methods=methods, n_terms=args.terms
     )
     csv, text = rep.to_csv(), rep.to_json() if args.json else None  # a refused report writes nothing
-    # open --json, then --out, and write neither until both are open
-    made = args.json and not os.path.exists(args.json)
-    with open(args.json, "w") if args.json else contextlib.nullcontext() as j:
-        try:
-            f = open(args.out, "w", newline="")
-        except OSError:
-            if made:  # remove the empty --json that opening it created, and nothing else
-                j.close()
-                os.remove(args.json)
-            raise
-        with f:
+    # open --json without emptying it, then --out, and write neither until both are open
+    json_fd = args.json and os.open(args.json, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(json_fd, "w") if args.json else contextlib.nullcontext() as j:
+        with open(args.out, "w", newline="") as f:
             f.write(csv)
-        if j:  # after the CSV is closed, and cut at its end, in case --out names the same file
+        if j:  # from offset 0 once the CSV is closed, and cut at its end: --out may name this file
             j.write(text)
             if j.seekable():
                 j.truncate()

@@ -220,8 +220,7 @@ def pin(path: Path, current: dict) -> None:
             print(f"{path.name}: {key} differs from its pinned value, which is kept")
     missing = [key for key in current if key not in pinned]
     if missing:
-        path.write_text(json.dumps({k: pinned.get(k, v) for k, v in current.items()} | pinned,
-                                   indent=1) + "\n")
+        path.write_text(json.dumps(current | pinned, indent=1) + "\n")
         print(f"{path.name}: pinned {len(missing)} new keys")
 
 

@@ -177,22 +177,22 @@ class TestCompareCommand:
                              ids=["json-dir-missing", "out-dir-missing"])
     def test_unopenable_path_writes_nothing(self, out, js, tmp_path, capsys):
         # both paths are opened before either is written; json-dir-missing used to leave the
-        # full CSV behind, and opening --json first must not leave an empty one
+        # full CSV behind, and out-dir-missing leaves only the --json file opening it created
         assert main(["compare", "--beta", "0.1", "--t-max", "2", "--dt", "0.5",
                      "--methods", "ladm,hbm", "--out", str(tmp_path / out),
                      "--json", str(tmp_path / js)]) == 1
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("error: ") and "missing_dir" in err
-        assert list(tmp_path.iterdir()) == []
+        left = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert left == ({} if js.startswith("missing_dir") else {"y.json": b""})
 
     def test_unopenable_out_keeps_an_existing_json(self, tmp_path):
-        # only a --json file that opening created is removed; an existing one, such as
-        # /dev/stdout, stays
+        # --json is opened first but not emptied, so a failed --out leaves its contents
         js = tmp_path / "y.json"
         js.write_text("{}")
         assert main(["compare", "--beta", "0.1", "--t-max", "2", "--dt", "0.5",
                      "--out", str(tmp_path / "missing_dir" / "pp.csv"), "--json", str(js)]) == 1
-        assert js.exists()
+        assert js.read_text() == "{}"
 
     def test_one_path_for_both_holds_the_json(self, tmp_path):
         # on this grid the CSV is longer than the JSON, whose end the CSV's tail must not follow
