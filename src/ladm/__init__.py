@@ -2,8 +2,8 @@
 
 Public surface: truncated power-series algebra (TimePolynomial), Adomian
 polynomial generation, the decomposition recurrence and its closed-form
-oscillator series, closed-form periodic approximants, a high-order
-reference integrator, and report builders behind the ``ladm`` CLI.
+oscillator series, closed-form periodic approximants, the exact
+reference trajectory, and report builders behind the ``ladm`` CLI.
 """
 
 from .adomian import AdomianSequence, AnalyticNonlinearity, adomian_polynomials

@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ladm",
         description="Series solutions of the relativistic harmonic oscillator "
-        "and comparisons against closed-form approximants and a "
-        "high-order reference integrator.",
+        "and comparisons against closed-form approximants and the "
+        "exact solution by elliptic inversion.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -16,4 +16,4 @@ class NotTabulatedError(LadmError, KeyError):
 
 
 class OracleError(LadmError, RuntimeError):
-    """The reference integrator failed to produce a trajectory."""
+    """The exact reference failed to produce a position."""

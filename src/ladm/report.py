@@ -65,9 +65,10 @@ class ComparisonReport:
 
     @cached_property
     def errors(self) -> dict[str, tuple[float, float]]:
-        """method -> (max_abs, rms) against the oracle column."""
+        """method -> (max_abs, rms) against the oracle column; hypot keeps the rms of huge
+        errors finite, where their sum of squares would overflow."""
         return {
-            m: (max(d), math.sqrt(sum(e * e for e in d) / len(d)))
+            m: (max(d), math.hypot(*d) / math.sqrt(len(d)))
             for m, d in self._abs_errors.items()
         }
 

@@ -164,13 +164,23 @@ class TestCompareCommand:
         assert not out.exists() and not js.exists()
 
     def test_refused_report_writes_nothing(self, tmp_path, capsys):
-        # every value is finite (up to 3.3e205), but the rms sum of squares overflows, so the
-        # report has no JSON; this used to leave the full CSV and an empty JSON behind
+        # a report refused while it is built, here at an oracle time past the cap, leaves
+        # neither --out nor --json behind
+        out, js = tmp_path / "x.csv", tmp_path / "y.json"
+        assert main(["compare", "--beta", "0.5", "--t-max", "2e4", "--dt", "1", "--methods",
+                     "hbm,oracle", "--out", str(out), "--json", str(js)]) == 3
+        assert capsys.readouterr().err == "error: t=10001.0 outside [0, 10000.0]\n"
+        assert not out.exists() and not js.exists()
+
+    def test_rms_of_huge_errors_is_finite(self, tmp_path, capsys):
+        # every value is finite (up to 3.3e205), and so is the rms, though the sum of the
+        # squares overflows; this used to exit 3 and write nothing
         out, js = tmp_path / "x.csv", tmp_path / "y.json"
         assert main(["compare", "--beta", "0.5", "--t-max", "1000", "--dt", "1", "--terms", "100",
-                     "--methods", "ladm,oracle", "--out", str(out), "--json", str(js)]) == 3
-        assert capsys.readouterr().err.startswith("error: a report holding NaN or inf has no JSON")
-        assert not out.exists() and not js.exists()
+                     "--methods", "ladm,oracle", "--out", str(out), "--json", str(js)]) == 0
+        errors = json.loads(js.read_text())["errors"]["ladm"]
+        assert 1e204 < errors["rms"] < errors["max_abs"] < math.inf
+        assert capsys.readouterr().err == "" and len(out.read_text().splitlines()) == 1002
 
     @pytest.mark.parametrize("out, js", [("pp.csv", "missing_dir/y.json"),
                                          ("missing_dir/pp.csv", "y.json")],
@@ -324,7 +334,7 @@ class TestPeriodCommand:
         assert float(capsys.readouterr().out) == pytest.approx(6.295, abs=1e-2)
 
     def test_long_horizon_stops_at_the_first_turn(self, monkeypatch, capsys):
-        # the solver's bound is MAX_T_END, yet stepping stops at the first step past T/4
+        # the samples of the trajectory end at its first turn, T/4
         trajs = []
 
         def spy(*args, **kwargs):
@@ -353,13 +363,24 @@ class TestPeriodCommand:
         assert float(capsys.readouterr().out) == pytest.approx(_closed_form_period(float(beta)),
                                                                 rel=1e-11)
 
-    def test_period_past_the_solver_bound_exit_4(self, capsys):
-        # T ~ 46000: the solver reaches its bound MAX_T_END before a quarter period
+    def test_period_past_four_times_the_solver_bound(self, capsys):
+        # T ~ 46000, at the largest beta below 1: this exited 4 while a DOP853 integration
+        # reached its bound MAX_T_END before the first turn
         assert _closed_form_period(0.9999999999999999) > 4.0 * oracle.MAX_T_END
         t0 = time.perf_counter()
-        assert main(["period", "--beta", "0.9999999999999999"]) == 4
+        assert main(["period", "--beta", "0.9999999999999999"]) == 0
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr() == ("", "oracle error: no turning point in (0, 10000.0]\n")
+        out = capsys.readouterr().out
+        assert out == "4.634095001184e+04\n"
+        assert float(out) == pytest.approx(_closed_form_period(0.9999999999999999), rel=1e-11)
+
+    def test_oracle_failure_exit_4(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(oracle, "_NEWTON_CAP", 1)  # a Newton iteration that cannot converge
+        assert main(["compare", "--beta", "0.5", "--methods", "hbm,oracle",
+                     "--out", str(tmp_path / "x.csv")]) == 4
+        assert capsys.readouterr() == (
+            "", "oracle error: Newton's method did not converge for beta=0.5\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_period_longer_than_the_solver_bound(self, capsys):
         # T ~ 10061 > MAX_T_END: the period comes from its first quarter
@@ -514,13 +535,16 @@ class TestReportHelpers:
         ref = rep.columns.get("oracle")
         diffs = {m: [abs(a - b) for a, b in zip(v, ref)]
                  for m, v in rep.columns.items() if ref and m != "oracle"}
-        assert rep.errors == {m: (max(d), math.sqrt(sum(e * e for e in d) / len(d)))
+        assert rep.errors == {m: (max(d), math.hypot(*d) / math.sqrt(len(d)))
                               for m, d in diffs.items()}
+        # the rms, taken through hypot, is within rounding of the root of the mean square
+        assert all(rep.errors[m][1] == pytest.approx(math.sqrt(sum(e * e for e in d) / len(d)),
+                                                     rel=1e-15) for m, d in diffs.items())
 
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(0.05, 0.996), t_max=st.floats(0.05, 25.0), dt=st.floats(0.05, 5.0))
     def test_oracle_matches_full_horizon_trajectory(self, beta, t_max, dt):
-        # build_report stops stepping at the first turn and samples at most t_max
+        # build_report's trajectory is the same whatever the grid, sampled at most at t_max
         rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
         full = integrate(beta, 30.0)
         assert rep.columns["oracle"] == tuple(full.sample_on_grid(np.minimum(rep.grid, t_max)))
@@ -528,6 +552,7 @@ class TestReportHelpers:
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 0.99])
     def test_oracle_steps_one_quarter_orbit_whatever_the_grid(self, beta, monkeypatch):
+        # the samples end at the first turn, for a short grid and a long one alike
         trajs = []
 
         def spy(*args, **kwargs):

@@ -1,8 +1,8 @@
 """What each command loads, each checked in a fresh interpreter.
 
-Only the oracle's integration needs scipy, so importing ladm, building the
-parser and the commands that never integrate load numpy alone; none of them
-loads the networking packages either.
+The package needs numpy alone, scipy only its tests: importing ladm, building
+the parser and every command, the oracle's included, load no scipy, and none
+of them loads the networking packages either.
 """
 
 import json
@@ -51,5 +51,13 @@ def test_commands_without_the_oracle_load_no_scipy(argv, report_json, tmp_path):
     assert _heavy(modules) == set()
 
 
-def test_period_loads_scipy_integrate():
-    assert "scipy.integrate" in _modules_after('from ladm import cli\ncli.main(["period", "--beta", "0.5"])')
+@pytest.mark.parametrize("argv", [
+    ["period", "--beta", "0.5"],
+    ["sweep", "--beta-min", "0.1", "--beta-max", "0.9", "--steps", "2", "--out", "{csv}"],
+    ["compare", "--beta", "0.5", "--t-max", "20", "--dt", "0.5", "--methods", "ladm,hbm,oracle",
+     "--out", "{csv}", "--json", "{json}"],
+], ids=["period", "sweep", "compare"])
+def test_commands_with_the_oracle_load_no_scipy(argv, tmp_path):
+    argv = [a.format(csv=tmp_path / "out.csv", json=tmp_path / "out.json") for a in argv]
+    modules = _modules_after(f"from ladm import cli\nassert cli.main({json.dumps(argv)}) == 0")
+    assert _heavy(modules) == set()

@@ -2,21 +2,16 @@ import math
 import sys
 import time
 
-import inspect
-
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp as scipy_ivp
-from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from ladm import DomainError, OracleError, build_report, hbm_frequency, integrate, oracle, period
-from ladm.oracle import (_MONITOR_SAMPLES, MAX_T_END, TOL, OracleTrajectory, _dense, _dop853,
-                         _excess_energy, _tableau)
+from ladm.oracle import MAX_T_END, _excess_energy, _rf_rd
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 
@@ -41,9 +36,8 @@ def _rhs(beta):
 
 
 def _relative_drift(beta, sol, ts):
-    """max |h - h(0)| / h(0) of h = (H - 1)/beta^2 from scipy's own OdeSolution call at
-    the accepted steps ts and a uniform refinement of [0, ts[-1]]."""
-    u, q = sol(np.union1d(ts, np.linspace(0.0, ts[-1], _MONITOR_SAMPLES)))
+    """max |h - h(0)| / h(0) of h = (H - 1)/beta^2 from a trajectory's (u, q) = sol(ts)."""
+    u, q = sol(ts)
     h = q * q / (1.0 + np.hypot(1.0, beta * q)) + 0.5 * u * u
     q0 = _gamma(beta)
     h0 = q0 * q0 / (1.0 + np.hypot(1.0, beta * q0))
@@ -88,6 +82,31 @@ class TestEnergy:
         assert _excess_energy(beta, 0.5, 2.0) == 2.125
 
 
+class TestCarlson:
+    """``oracle._rf_rd`` against mpmath's R_F and R_D at 30 digits and Carlson's own test values."""
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate([[0.0, 5e-324, 1e-30], rng.uniform(0.0, 1.0, 200)])
+        z = np.concatenate([[1e-8, 1.0, 0.5], 10.0 ** rng.uniform(-9.0, 0.0, 200)])
+        rf, rd, _ = _rf_rd(x, 1.0, z)
+        with mpmath.workdps(30):
+            want_f = np.array([float(mpmath.elliprf(a, 1, c)) for a, c in zip(x, z)])
+            want_d = np.array([float(mpmath.elliprd(a, 1, c)) for a, c in zip(x, z)])
+        assert np.max(np.abs(rf / want_f - 1.0)) <= 1e-15
+        assert np.max(np.abs(rd / want_d - 1.0)) <= 1e-15
+
+    def test_carlsons_values(self):
+        # B. C. Carlson, Numer. Algorithms 10 (1995) 13-26, section 3
+        rf, _, _ = _rf_rd(np.array([0.0, 2.0]), np.array([1.0, 3.0]), np.array([2.0, 4.0]))
+        assert rf.tolist() == pytest.approx([1.3110287771461, 0.58408284167715], rel=1e-13)
+        _, rd, _ = _rf_rd(np.array([0.0, 2.0]), np.array([2.0, 3.0]), np.array([1.0, 4.0]))
+        assert rd.tolist() == pytest.approx([1.7972103521034, 0.16510527294261], rel=1e-13)
+
+    def test_empty(self):
+        assert [np.shape(v) for v in _rf_rd(np.zeros(0), 1.0, np.ones(0))] == [(0,), (0,), ()]
+
+
 class TestIntegrate:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_beta_domain(self, beta):
@@ -111,21 +130,14 @@ class TestIntegrate:
         vs = _speed(beta * traj.interpolant(ts)[1])
         assert np.max(np.abs(vs)) <= beta + 1e-9
 
-    @pytest.mark.parametrize("beta, until", [(0.1, 20.0), (0.5, 30.0), (0.9, 100.0)])
-    def test_energy_drift_matches_scipy_dense_output(self, beta, until):
-        # the monitor as computed from scipy's own OdeSolution call
-        traj = integrate(beta, until)
-        assert traj.energy_drift == _relative_drift(beta, traj.interpolant, traj.interpolant.ts)
-
     @pytest.mark.parametrize("beta", [1e-300, 1e-12, 0.5, 0.9])
     def test_energy_drift_is_relative_at_every_beta(self, beta):
-        # the same trajectory in units of beta gives the same drift at every small beta,
-        # and a looser tolerance shows at every beta
-        assert 1e-13 < integrate(beta).energy_drift <= 1e-10
-        sol = scipy_ivp(_rhs(beta), (0.0, 10.0), [0.0, _gamma(beta)], method="DOP853",
-                        rtol=1e-6, atol=1e-6, dense_output=True).sol
-        loose = OracleTrajectory(beta=beta, samples=((0.0, 0.0, _gamma(beta)),), interpolant=sol)
-        assert loose.energy_drift > 1e-9
+        # the exact trajectory conserves h, so in units of beta only rounding is left at every
+        # beta, and it is the drift of the independent monitor on the same quarter orbit
+        traj = integrate(beta)
+        assert 0.0 < traj.energy_drift <= 4e-15
+        ts = np.linspace(0.0, traj.turning_time, 2048)
+        assert traj.energy_drift == _relative_drift(beta, traj.interpolant, ts)
 
     def test_samples_strictly_increasing(self, long_trajectories):
         ts = [t for t, _, _ in long_trajectories[0.2].samples]
@@ -140,8 +152,7 @@ class TestIntegrate:
             assert x == pytest.approx(beta * math.sin(t), abs=1e-9)
 
     def test_tolerance_self_consistency(self):
-        # tightening the tolerance from 1e-10 to TOL = 1e-12 must not move the
-        # solution by more than the looser tolerance's error level
+        # scipy's DOP853 at the tolerance 1e-10 stays within its error level of the exact positions
         grid = np.linspace(0.0, 100.0, 401)
         a = _dop853_positions(0.5, 100.0, 1e-10, grid)
         b = integrate(0.5, 100.0).sample_on_grid(grid)
@@ -164,172 +175,83 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("until", [-1.0, 0.0, 1.0])
     def test_until_inside_the_first_quarter_stops_at_the_turn(self, until):
-        # at beta = 0.5 the orbit turns at t ~ 1.66
+        # at beta = 0.5 the orbit turns at t ~ 1.66, where the samples end whatever until
         traj = integrate(0.5, until)
         assert traj.samples == integrate(0.5).samples
         (_, _, q_prev), (_, _, q_last) = traj.samples[-2:]
         assert q_prev > 0.0 >= q_last
 
-    def test_config_caps_horizon(self, monkeypatch):
+    def test_config_caps_horizon(self):
         with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, 1e300)  # used to integrate without end
         with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, np.nextafter(MAX_T_END, math.inf))
-
-        # the cap itself passes the check, and every until reaches the stepper
-        def dop853_reached(fun, y0):
-            raise ValueError("integrator reached")
-
-        monkeypatch.setattr(oracle, "_dop853", dop853_reached)
-        for until in (MAX_T_END, 20.0, 0.0):
-            with pytest.raises(OracleError, match="integrator reached"):
-                integrate(0.5, until)
-
-    def test_stepper_failure_names_beta(self, monkeypatch):
-        # no step may cross t = 1, short of the turn at t ~ 1.66, so the stepper fails there
-        stepper = oracle._dop853
-        monkeypatch.setattr(oracle, "_dop853", lambda fun, y0: stepper(
-            lambda t, y: fun(t, y) if t <= 1.0 else [math.nan, math.nan], y0))
-        with pytest.raises(OracleError, match=r"^integration failed for beta=0\.5: Required step "
-                                              r"size is less than spacing between numbers\.$"):
-            integrate(0.5)
+        # the cap itself passes the check, and the trajectory does not depend on until
+        assert {period(integrate(0.5, until)) for until in (MAX_T_END, 20.0, 0.0)} == {
+            period(integrate(0.5))}
 
     def test_missing_scipy_is_not_an_oracle_error(self, monkeypatch):
-        # a missing scipy raises ImportError, never the OracleError of exit 4
-        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
-        with pytest.raises(ImportError, match="scipy.integrate"):
-            integrate(0.5)
+        # the oracle needs numpy alone: a missing scipy raises nothing
+        for name in ("scipy", "scipy.integrate", "scipy.optimize", "scipy.special"):
+            monkeypatch.setitem(sys.modules, name, None)
+        traj = integrate(0.5)
+        assert period(traj) == pytest.approx(6.639256215828, rel=1e-12)
+        assert traj.sample_on_grid([0.0, 1000.0])[0] == 0.0
 
-
-def _scipy_dop853(fun, y0):
-    """scipy's ``DOP853`` class behind the generator interface of ``oracle._dop853``."""
-    solver = scipy.integrate.DOP853(fun, 0.0, y0, oracle.MAX_T_END, rtol=TOL, atol=TOL)
-    while solver.status == "running":
-        if message := solver.step():
-            raise OracleError(message)
-        yield solver.t, solver.y.tolist(), solver.dense_output()
+    def test_newton_cap_names_beta(self, monkeypatch):
+        # a position whose Newton iteration does not meet the stop rule is an OracleError
+        monkeypatch.setattr(oracle, "_NEWTON_CAP", 1)
+        with pytest.raises(OracleError, match=r"^Newton's method did not converge for beta=0\.5$"):
+            integrate(0.5).sample_on_grid([1.0])
 
 
 class TestStepper:
-    """``oracle._dop853`` against scipy's ``DOP853`` class, its test oracle, on the same system.
-
-    Each stage sum is one ``math.fsum`` where scipy takes a numpy dot product.  The embedded
-    error estimate cancels about seven digits, so those last-bit differences move each step
-    size by about 1e-8 relative (2e-6 by the turn at beta = 0.99); the steps are the same
-    ones, and the trajectory through them agrees to rounding."""
-
-    @staticmethod
-    def _with_scipy(beta, monkeypatch):
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_dop853", _scipy_dop853)
-            return integrate(beta)
+    """The exact trajectory against scipy's DOP853 stepper at rtol = atol = 1e-13 on the same
+    system in units of beta, an independent integration."""
 
     @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99])
-    def test_same_steps_and_trajectory_as_scipy(self, beta, monkeypatch):
-        ref, own = self._with_scipy(beta, monkeypatch), integrate(beta)
-        assert len(own.samples) == len(ref.samples)
-        ts, us, qs = np.array(own.samples).T
-        assert np.allclose(ts, np.array(ref.samples)[:, 0], rtol=1e-5, atol=0.0)
-        ts = ts[ts <= ref.samples[-1][0]]
-        u_ref, q_ref = ref.interpolant(ts)
-        assert np.max(np.abs(us[:ts.size] - u_ref)) <= 1e-13
-        assert np.max(np.abs(qs[:ts.size] - q_ref)) <= 1e-13
-        assert period(own) == pytest.approx(period(ref), rel=1e-12)
+    def test_same_steps_and_trajectory_as_scipy(self, beta):
+        # at scipy's own accepted steps on [0, 100], and between them through its dense output
+        sol = scipy_ivp(_rhs(beta), (0.0, 100.0), [0.0, _gamma(beta)], method="DOP853",
+                        rtol=1e-13, atol=1e-13, dense_output=True)
+        traj = integrate(beta, 100.0)
+        u, q = traj.interpolant(sol.t)
+        assert np.max(np.abs(u - sol.y[0])) <= 1e-9
+        assert np.max(np.abs(q - sol.y[1])) <= 1e-9
+        ts = np.linspace(0.0, 100.0, 1001)
+        assert np.max(np.abs(np.subtract(traj.sample_on_grid(ts), beta * sol.sol(ts)[0]))) <= (
+            1e-9 * beta)
 
-    def test_period_near_light_speed_matches_scipy(self, monkeypatch):
+    def test_period_near_light_speed_matches_scipy(self):
+        # four times the first turn, where q falls through 0, located by DOP853's event search
         beta = 0.9999999
-        assert period(integrate(beta)) == pytest.approx(
-            period(self._with_scipy(beta, monkeypatch)), rel=1e-12)
-
-    def test_interpolant_is_scipys(self):
-        traj = integrate(0.5)
-        steps = traj.interpolant.interpolants
-        assert {type(d) for d in steps} == {_tableau().interpolant}
-        assert all(d.F.shape == (7, 2) and d.y_old.shape == (2,) for d in steps)
-
-    def test_finishes_at_the_bound_like_scipy(self, monkeypatch):
-        # the harmonic oscillator to t = 1: the last step is cut to land on the bound
-        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)
-        rhs = lambda t, y: [y[1], -y[0]]
-        own, ref = (list(stepper(rhs, [0.0, 1.0])) for stepper in (_dop853, _scipy_dop853))
-        assert own[-1][0] == ref[-1][0] == 1.0
-        assert own[-1][1] == pytest.approx(ref[-1][1], abs=1e-15)
-        assert own[-1][1] == pytest.approx([math.sin(1.0), math.cos(1.0)], abs=1e-12)
-
-    def test_fails_below_ten_ulps_like_scipy(self, monkeypatch):
-        # no step may cross t = 1, so the steps shrink onto it until they fall below 10 ulps
-        monkeypatch.setattr(oracle, "MAX_T_END", 10.0)
-        rhs = lambda t, y: [y[1], -y[0]] if t <= 1.0 else [math.nan, math.nan]
-        for stepper in (_dop853, _scipy_dop853):
-            ts = []
-            with pytest.raises(OracleError, match=r"^Required step size is less than spacing "
-                                                  r"between numbers\.$"):
-                for t, _, _ in stepper(rhs, [0.0, 1.0]):
-                    ts.append(t)
-            assert 1.0 - 1e-12 < ts[-1] <= 1.0
-
-    def test_tableau_is_read_from_scipys_class(self, monkeypatch):
-        S = scipy.integrate.DOP853
-        tab = _tableau()
-        assert tab.B == S.B.tolist() and tab.E5 == S.E5.tolist() and tab.E3 == S.E3.tolist()
-        assert tab.D == S.D.tolist()
-        assert tab.stages == list(zip(S.A[1:].tolist(), S.C[1:].tolist()))
-        assert tab.extra == list(zip(S.A_EXTRA.tolist(), S.C_EXTRA.tolist()))
-        # no coefficient is written out in the module
-        source = inspect.getsource(oracle)
-        digits = [repr(float(c))[:12] for c in (*S.B, *S.C, *S.E5, *S.E3, *S.D.ravel())]
-        assert not [d for d in digits if len(d) == 12 and d in source]
-        # and a changed class attribute reaches the stepper once the cache is cleared
-        doubled = 2.0 * S.B
-        monkeypatch.setattr(S, "B", doubled)
-        _tableau.cache_clear()
-        try:
-            assert _tableau().B == doubled.tolist()
-        finally:
-            monkeypatch.undo()
-            _tableau.cache_clear()
-        assert _tableau().B == S.B.tolist()
+        turn = lambda t, y: y[1]
+        turn.terminal, turn.direction = True, -1
+        sol = scipy_ivp(_rhs(beta), (0.0, 1e3), [0.0, _gamma(beta)], method="DOP853",
+                        rtol=1e-13, atol=1e-13, events=turn)
+        assert period(integrate(beta)) == pytest.approx(4.0 * sol.t_events[0][0], rel=1e-12)
 
 
 class TestStopRule:
-    """``integrate(beta, u)`` stops at the first accepted step at or past u
-    once the samples bracket the first turning point, q > 0 then <= 0."""
-
-    @staticmethod
-    def _first_turn(samples):
-        qs = [q for _, _, q in samples]
-        return next(i for i in range(len(qs) - 1) if qs[i] > 0.0 >= qs[i + 1])
+    """``integrate(beta, until)`` covers every time, its samples the start and the first turn,
+    and Newton's method stops on the residual |t(psi) - s| <= 4 eps tau."""
 
     @pytest.mark.parametrize("beta, until", [(1e-6, 0.0), (0.1, 0.0), (0.5, 1.0), (0.5, 3.0),
                                              (0.9, 0.0), (0.99, 5.0), (0.2, 10.0), (0.5, 17.3)])
     def test_samples_are_a_prefix_of_the_full_run(self, beta, until):
         full, part = integrate(beta, 20.0), integrate(beta, until)
-        n = len(part.samples)
-        assert n < len(full.samples)
-        assert part.samples == full.samples[:n]
-        assert part.interpolant.ts.tobytes() == full.interpolant.ts[:n].tobytes()
-        i = self._first_turn(part.samples)
-        assert part.samples[-1][0] >= until
-        if until < part.samples[i + 1][0]:
-            # until falls inside the first quarter: the last two samples bracket the turn
-            assert i == n - 2
-        else:
-            # the first step at or past until, with the turn already bracketed
-            assert part.samples[-2][0] < until
+        assert part.samples == full.samples[:len(part.samples)] == full.samples
+        (t0, u0, q0), (tau, amplitude, q_turn) = part.samples
+        assert (t0, u0, q_turn) == (0.0, 0.0, 0.0) and q0 == _gamma(beta)
+        assert tau == part.turning_time and beta * amplitude == pytest.approx(
+            math.sqrt(2.0 * (_gamma(beta) - 1.0)) if beta > 1e-3 else beta, rel=1e-9)
 
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 0.996])
     def test_period_at_until_zero_is_the_full_horizon_period(self, beta):
         assert period(integrate(beta)) == period(integrate(beta, 20.0))
 
-    def test_without_a_crossing_runs_to_t_end(self, monkeypatch):
-        # the solver's bound MAX_T_END, here lowered below a quarter period, ends the trajectory
-        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)
-        traj = integrate(0.1)
-        assert traj.samples[-1][0] == 1.0
-        assert all(q > 0.0 for _, _, q in traj.samples)
-
     def test_a_period_past_the_bound_stops_at_the_turn(self):
-        # T ~ 10061 > MAX_T_END, yet the turn at T/4 ends the trajectory, far before the bound
+        # T ~ 10061 > MAX_T_END, and the samples end at the turn T/4
         traj = integrate(0.99999999999995)
         (t_prev, _, q_prev), (t_last, _, q_last) = traj.samples[-2:]
         assert q_prev > 0.0 >= q_last
@@ -337,10 +259,27 @@ class TestStopRule:
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.9])
     def test_energy_drift_covers_the_integrated_span(self, beta):
-        # scipy's own OdeSolution of a longer run, over the span that was integrated
+        # the monitor reads 2048 uniform times from the first sample to the turn
         traj = integrate(beta)
-        full = integrate(beta, 20.0).interpolant
-        assert traj.energy_drift == _relative_drift(beta, full, traj.interpolant.ts)
+        span = np.linspace(traj.samples[0][0], traj.samples[-1][0], 2048)
+        assert traj.energy_drift == _relative_drift(beta, traj.interpolant, span)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.9, 0.999, 0.99999999999995, 0.9999999999999999])
+    def test_residual_rule(self, beta, monkeypatch):
+        # each position, read back as psi from u = U sin(psi) and q = g cos(psi) D(psi), lies
+        # within the 4 eps tau of the rule, and rounding, of its time; a step rule |dpsi| <= 1e-14
+        # stalls near beta = 1, where dt/dpsi -> 1 while tau ~ 1e4
+        traj = integrate(beta)
+        calls, time_of = [], traj._time
+        monkeypatch.setattr(traj, "_time", lambda s, c: calls.append(s.size) or time_of(s, c))
+        folded = np.linspace(0.0, traj.turning_time, 2001)
+        u, q = traj.interpolant(folded)
+        r = q / traj.g  # c D(psi), and c^2 solves m c^4 + (1 - m) c^2 = r^2
+        c = np.sqrt(2.0 * r * r / (traj.mc + np.sqrt(traj.mc**2 + 4.0 * traj.m * r * r)))
+        psi = np.arctan2(u / traj.samples[1][1], c)
+        t, _ = time_of(np.sin(psi), np.cos(psi))
+        assert np.max(np.abs(t - folded)) <= 8.0 * np.finfo(float).eps * traj.turning_time
+        assert len(calls) <= 14
 
 
 class TestSampling:
@@ -348,12 +287,12 @@ class TestSampling:
         assert long_trajectories[0.1].sample_on_grid([0.0]) == [0.0]
 
     def test_accepted_step_matches_stored_sample(self, long_trajectories):
-        # a step before the turn, where the positions are the interpolant's own
+        # the stored turn sample is the position and momentum at the turning time
         traj = long_trajectories[0.2]
-        before = [s for s in traj.samples if s[0] <= traj.turning_time]
-        t, u, _ = before[len(before) // 2]
-        assert 0.0 < t < traj.turning_time
-        assert traj.sample_on_grid([t])[0] == pytest.approx(0.2 * u, rel=1e-13, abs=1e-15)
+        tau, u, q = traj.samples[-1]
+        assert tau == traj.turning_time and q == 0.0
+        assert traj.sample_on_grid([tau]) == [0.2 * u]
+        assert abs(traj.interpolant([tau])[1][0]) <= 1e-15
 
     def test_out_of_range(self, long_trajectories):
         # any time in [0, MAX_T_END] folds onto the first quarter orbit
@@ -379,7 +318,6 @@ class TestSampling:
     @pytest.mark.parametrize("ts, shape", [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"),
                                            (np.zeros((2, 0)), r"\(2, 0\)")])
     def test_refuses_times_that_are_not_1d(self, long_trajectories, ts, shape):
-        # a scalar used to raise IndexError in _dense, and a 2-D array numpy's ValueError
         with pytest.raises(DomainError,
                            match=rf"^times must form a 1-D sequence, got shape {shape}$"):
             long_trajectories[0.1].sample_on_grid(ts)
@@ -389,42 +327,41 @@ class TestSampling:
 
     @pytest.mark.parametrize("kind", ["unsorted", "step_times"])
     def test_matches_scalar_interpolant_bit_for_bit(self, long_trajectories, kind):
-        # the interpolant itself up to the turning time tau, and past it the fold
-        # x(t) = (-1)^k beta u(min(s, 2 tau - s)) with s = t - 2 tau k, k = floor(t / 2 tau)
+        # one time at a time, and past the turning time tau the fold
+        # x(t) = (-1)^k x(min(s, 2 tau - s)) with s = t - 2 tau k, k = floor(t / 2 tau)
         traj = long_trajectories[0.5]
         tau = traj.turning_time
-        steps = [t for t, _, _ in traj.samples]  # segment boundaries
+        steps = [t for t, _, _ in traj.samples]
         if kind == "unsorted":
             rng = np.random.default_rng(7)
             ts = rng.permutation(np.concatenate([rng.uniform(0.0, tau, 200), [tau],
-                                                 rng.uniform(0.0, 100.0, 797), steps[::10]]))
+                                                 rng.uniform(0.0, 100.0, 797), steps]))
         else:
             ts = steps
 
         def fold(t):
             k = math.floor(t / (2.0 * tau))
             s = t - 2.0 * tau * k
-            return (-1.0) ** k * float(0.5 * traj.interpolant(min(s, 2.0 * tau - s))[0])
+            return (-1.0) ** k * traj.sample_on_grid([min(s, 2.0 * tau - s)])[0]
 
-        expected = [float(0.5 * traj.interpolant(t)[0]) if t <= tau else fold(t) for t in ts]
+        expected = [traj.sample_on_grid([t])[0] if t <= tau else fold(t) for t in ts]
         got = traj.sample_on_grid(ts)
         assert all(type(x) is float for x in got)
         assert got == expected
-        assert sum(t <= tau for t in ts) >= 8
+        assert sum(t <= tau for t in ts) >= 2
 
-    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.999, 0.99999999999995])
     def test_matches_elliptic_inversion(self, beta):
-        # the folded quarter orbit keeps the phase error of one quarter period, so it
-        # stays near the exact position far past where stepping on would drift
-        # (1.9e-9 beta at beta = 0.5 and 2.2e-8 beta at 0.9 by t = 1000)
-        for t_max, dt, bound in ((20.0, 0.5, 2e-11), (1000.0, 40.0, 1e-9)):
+        # within 1e-12 of the amplitude up to t = 1000: the fold multiplies the period's
+        # rounding by t / T, 3e-13 at most
+        amplitude = beta * integrate(beta).samples[-1][1]
+        for t_max, dt in ((20.0, 0.5), (1000.0, 40.0)):
             rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
             err = np.abs(np.subtract(rep.columns["oracle"], _elliptic_positions(beta, rep.grid)))
-            assert np.max(err) <= bound * beta, (t_max, np.max(err) / beta)
+            assert np.max(err) <= 1e-12 * amplitude, (t_max, np.max(err) / amplitude)
 
     def test_midpoint_interpolation_accuracy(self):
-        # dense output between accepted steps agrees with a direct
-        # integration at the tighter tolerance 1e-13
+        # between its steps, scipy's DOP853 dense output at 1e-13 agrees with the exact positions
         traj = integrate(0.2, 10.0)
         ts = np.linspace(0.1, 9.9, 333)
         a = traj.sample_on_grid(ts)
@@ -433,24 +370,27 @@ class TestSampling:
 
 
 class TestDense:
+    """The vectorised Newton iteration: a batch of times gives, bit for bit, what each time gives
+    alone, since a position stops iterating once it meets the stop rule."""
+
     @pytest.mark.parametrize("until", [3.0, 20.0, 100.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.77, 0.9])
     def test_matches_interpolant_bit_for_bit(self, beta, until):
         traj = integrate(beta, until)
-        steps = traj.interpolant.ts
         rng = np.random.default_rng(11)
-        ts = np.concatenate([rng.uniform(0.0, until, 500), steps, steps[::4],  # repeats
-                             [0.0, until, 0.0, until]])
-        ts = rng.permutation(ts)
-        got, want = _dense(traj.interpolant, ts), traj.interpolant(ts)
+        ts = rng.uniform(0.0, until, 100)
+        ts = rng.permutation(np.concatenate([ts, ts[::4], [0.0, until, traj.turning_time]]))
+        got = np.array(traj.interpolant(ts))
+        want = np.array([np.array(traj.interpolant([t]))[:, 0] for t in ts]).T
         assert got.shape == want.shape == (2, ts.size)
         assert got.tobytes() == want.tobytes()
 
     def test_single_and_empty(self, long_trajectories):
-        sol = long_trajectories[0.2].interpolant
-        for t in (0.0, sol.ts[5], 37.25, 100.0):
-            assert _dense(sol, [t])[:, 0].tobytes() == sol(t).tobytes()
-        assert _dense(sol, []).shape == (2, 0)
+        traj = long_trajectories[0.2]
+        for t in (0.0, traj.turning_time, 37.25, 100.0):
+            u, q = traj.interpolant([t])
+            assert u.shape == q.shape == (1,)
+        assert [v.shape for v in traj.interpolant([])] == [(0,), (0,)]
 
 
 class TestPeriod:
@@ -469,12 +409,16 @@ class TestPeriod:
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
     def test_insufficient_horizon(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)  # the solver's bound, below a quarter period
-        with pytest.raises(OracleError, match=r"no turning point in \(0, 1\.0\]"):
-            period(integrate(0.1))
+        # a bound MAX_T_END below a quarter period used to leave no turning point; now it
+        # bounds only the times that sample_on_grid accepts
+        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)
+        traj = integrate(0.1)
+        assert period(traj) == pytest.approx(_closed_form_period(0.1), rel=4e-15)
+        with pytest.raises(DomainError, match=r"^t=1\.5 outside \[0, 1\.0\]$"):
+            traj.sample_on_grid([1.5])
 
     def test_a_quarter_period_of_horizon_suffices(self, monkeypatch):
-        # a bound below half a period still holds the turning point, where stepping stops
+        # the period does not depend on the bound MAX_T_END, here below half a period
         full = period(integrate(0.1, 20.0))
         monkeypatch.setattr(oracle, "MAX_T_END", 3.0)
         assert period(integrate(0.1)) == full
@@ -486,36 +430,37 @@ class TestPeriod:
     @pytest.mark.parametrize("until", [20.0, 30.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
     def test_matches_scalar_scan_bit_for_bit(self, beta, until):
+        # t(pi/2) on Python floats gives the bits of the array evaluation, and the first
+        # upward zero of x, bisected on one-time calls, lies at the period
         traj = integrate(beta, until)
-        assert period(traj) == _scalar_turning_period(traj)
+        assert period(traj) == 4.0 * float(traj._time(1.0, 0.0)[0])
         assert period(traj) == pytest.approx(_scalar_first_crossing(traj), rel=1e-11)
 
     @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99999999999995])
     def test_call_budget(self, beta, monkeypatch):
-        # Brent's method converges in a handful of OdeSolution calls; at least one, because
-        # perfbench's oracle.interp_calls counts the root finder's calls on the interpolant
+        # t(psi) on the 65 starting nodes, then a handful of Newton passes over a 20001-point grid
         traj = integrate(beta)
-        calls, call = [], type(traj.interpolant).__call__
-        monkeypatch.setattr(type(traj.interpolant), "__call__",
-                            lambda sol, t: calls.append(t) or call(sol, t))
-        period(traj)
-        assert 1 <= len(calls) <= 8
+        calls, time_of = [], traj._time
+        monkeypatch.setattr(traj, "_time", lambda s, c: calls.append(s.size) or time_of(s, c))
+        traj.sample_on_grid(np.linspace(0.0, MAX_T_END, 20001))
+        assert calls[0] == 65 and 2 <= len(calls) <= 9
+        assert sum(calls[1:]) <= 4 * 20001
 
     def test_interpolant_returns_the_samples_at_the_bracket_ends(self):
-        # brentq evaluates both ends and needs q > 0 at the first and q <= 0 at the second
+        # the start and the turn, the ends of the first quarter orbit, from 1e-300 to 1 - 1e-16
         misses = []
-        for beta in [1e-300, *np.linspace(0.01, 0.99, 50).tolist(), 0.99999999999995]:
+        for beta in [1e-300, *np.linspace(0.01, 0.99, 50).tolist(), 0.99999999999995,
+                     0.9999999999999999]:
             traj = integrate(beta)
-            i = next(i for i, (a, b) in enumerate(zip(traj.samples, traj.samples[1:]))
-                     if a[2] > 0.0 >= b[2])
-            for t, _, q in traj.samples[i:i + 2]:
-                if np.float64(traj.interpolant(t)[1]).tobytes() != np.float64(q).tobytes():
-                    misses.append((beta, t))
+            (t0, u0, q0), (tau, u1, _) = traj.samples
+            (u_start, u_turn), (q_start, q_turn) = traj.interpolant([t0, tau])
+            if not (u_start == 0.0 and q_start == pytest.approx(q0, rel=1e-15) and u_turn == u1
+                    and abs(q_turn) <= 1e-15 * q0):
+                misses.append(beta)
         assert not misses
 
     @pytest.mark.parametrize("beta", [1e-6, *BETAS, 0.99])
     def test_independent_of_horizon(self, beta):
-        # the DOP853 steps before the first turn do not depend on how far stepping goes
         assert len({period(integrate(beta, until)) for until in (0.0, 20.0, 30.0, 100.0)}) == 1
 
     @settings(max_examples=15, deadline=None)
@@ -523,30 +468,31 @@ class TestPeriod:
     def test_matches_energy_quadrature(self, beta):
         # Independent oracle: R. E. Mickens, J. Sound Vib. 212 (1998) 905-908.
         assert period(integrate(beta)) == pytest.approx(
-            _quadrature_period(beta), rel=1e-9
+            _quadrature_period(beta), rel=1e-12
         )
 
 
 class TestWholeBetaRange:
-    """The period against the closed form from beta = 1e-300 to 1 - 1e-13."""
+    """The period against the closed form from beta = 1e-300 to 1 - 1.1e-16, the largest below 1."""
 
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(min_value=-300.0, max_value=math.log10(0.5)))
     def test_small_beta(self, exponent):
         beta = 10.0**exponent
-        assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=1e-11)
+        assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=4e-15)
 
     @settings(max_examples=25, deadline=None)
-    @given(exponent=st.floats(min_value=-13.0, max_value=math.log10(0.5)))
+    @given(exponent=st.floats(min_value=-15.92, max_value=math.log10(0.5)))
     @example(exponent=-11.504231847944919)  # the first-return period was 1.15e-11 off here
+    @example(exponent=math.log10(1.0 - 0.9999999999999999))
     def test_near_light_speed(self, exponent):
         beta = 1.0 - 10.0**exponent
-        assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=1e-11)
+        assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=4e-15)
 
     @pytest.mark.parametrize("beta", [5e-324, 1e-315, 2.2e-308])
     def test_subnormal_beta(self, beta):
-        # an absolute tolerance TOL * beta would underflow to 0 and DOP853 would never finish a step
-        assert period(integrate(beta)) == pytest.approx(2.0 * math.pi, rel=1e-12)
+        # in units of beta the subnormal amplitude loses nothing
+        assert period(integrate(beta)) == pytest.approx(2.0 * math.pi, rel=4e-15)
 
     def test_closed_form_matches_quadrature(self):
         for beta in (1e-300, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.9999):
@@ -559,7 +505,7 @@ class TestWholeBetaRange:
         p = period(integrate(beta))
         assert time.perf_counter() - t0 < 1.0
         assert p == pytest.approx(8458.312666279, rel=1e-11)
-        assert p == pytest.approx(_closed_form_period(beta), rel=1e-11)
+        assert p == pytest.approx(_closed_form_period(beta), rel=4e-15)
 
 
 def _bisect(x, lo, hi, tol=1e-12):
@@ -573,24 +519,11 @@ def _bisect(x, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def _scalar_turning_period(traj):
-    """Reference: four times the first turning time, where q goes from > 0 to <= 0
-    between accepted steps, found by Brent's method with scalar dense-output calls."""
-    q = lambda t: float(traj.interpolant(t)[1])
-    for (a, _, qa), (b, _, qb) in zip(traj.samples, traj.samples[1:]):
-        if qa > 0.0 >= qb:
-            return 4.0 * brentq(q, a, b, xtol=2.5e-13)
-    raise AssertionError("no turning point")
-
-
 def _scalar_first_crossing(traj):
-    """The earlier rule: the first upward crossing between accepted steps after
-    t = 0, bisected with one scalar dense-output call per step."""
-    x = lambda t: float(traj.interpolant(t)[0])
-    for (a, xa, _), (b, xb, _) in zip(traj.samples[1:], traj.samples[2:]):
-        if xa < 0.0 <= xb:
-            return _bisect(x, a, b)
-    raise AssertionError("no upward crossing")
+    """The first upward zero of x after t = 0, between three and five turning times (x is
+    -A and A there), bisected with one-time calls of sample_on_grid."""
+    tau = traj.turning_time
+    return _bisect(lambda t: traj.sample_on_grid([t])[0], 3.0 * tau, 5.0 * tau)
 
 
 def _closed_form_period(beta):
@@ -630,6 +563,8 @@ def _elliptic_positions(beta, ts):
                 psi -= step
                 if abs(step) < mpmath.mpf("1e-25"):  # Newton: what is left is below 1e-40
                     break
+            else:
+                raise AssertionError(f"no 40-digit inversion at t={t}")
             xs.append(float(mpmath.sqrt(2 * (g - 1)) * mpmath.sin(psi + k * mpmath.pi)))
         return np.array(xs)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladm import ComparisonReport, DomainError
+from ladm import ComparisonReport, DomainError, build_report
 from ladm.report import ALL_METHODS
 
 SPECIAL = [-0.0, 5e-324, 1e22, 1.0, 1e16]
@@ -91,11 +91,30 @@ def test_values_that_are_not_finite_are_refused(where, value):
         rep.to_json()
 
 
-def test_a_finite_report_whose_rms_overflows_is_refused():
+def test_the_rms_of_huge_finite_errors_is_finite():
+    # the sum of the squares overflows, and the rms used to be inf, a report with no JSON
     rep = ComparisonReport(beta=0.1, grid=(0.0, 1.0), columns={"hbm": (1e300, 0.0), "oracle": (-1e300, 0.0)})
-    assert rep.errors["hbm"][1] == math.inf
-    with pytest.raises(DomainError, match="NaN or inf"):
-        rep.to_json()
+    assert rep.errors["hbm"] == (2e300, 2e300 / math.sqrt(2.0))
+    assert json.loads(rep.to_json())["errors"]["hbm"] == {"max_abs": 2e300, "rms": 2e300 / math.sqrt(2.0)}
+
+
+def _two_digits(x):
+    return float(f"{x:.1e}")
+
+
+def test_frequency_ledger():
+    # beta^2 coefficients of 1 - omega: 3/16 for the exact 2 pi / period, 3/4 for the series'
+    # (1 - beta^2)^(3/4), which keeps the stiffness of the top speed all orbit long, and 1/8 for HBM
+    f = build_report(1e-3, t_max=1.0, dt=0.5, methods=("oracle",)).frequency_summary
+    shifts = [(1.0 - f[w]) / 1e-6 for w in ("omega_oracle", "omega_series", "omega_hbm")]
+    assert shifts == pytest.approx([3 / 16, 3 / 4, 1 / 8], rel=5e-3)
+    # the relative errors of omega_series and omega_hbm against omega_oracle
+    ledger = {0.1: (-0.0056, 0.00063), 0.2: (-0.023, 0.0025), 0.5: (-0.15, 0.017),
+              0.9: (-0.59, 0.062), 0.99: (-0.87, 0.072)}
+    for beta, want in ledger.items():
+        f = build_report(beta, t_max=1.0, dt=0.5, methods=("oracle",)).frequency_summary
+        got = [_two_digits(f[w] / f["omega_oracle"] - 1.0) for w in ("omega_series", "omega_hbm")]
+        assert tuple(got) == want, beta
 
 
 def test_integer_oracle_period_reads_back_as_a_float():
