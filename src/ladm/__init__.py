@@ -9,7 +9,6 @@ reference trajectory, and report builders behind the ``ladm`` CLI.
 from .adomian import AdomianSequence, AnalyticNonlinearity, adomian_polynomials
 from .approximants import SinusoidSum, hbm, hbm_frequency, tabulated
 from .errors import DomainError, LadmError, NotTabulatedError, OracleError
-from .oracle import OracleTrajectory, integrate, period
 from .report import ComparisonReport, build_report, sweep_csv
 from .series import TimePolynomial
 from .solver import (
@@ -53,3 +52,10 @@ __all__ = [
     "tabulated",
     "tail_bound",
 ]
+
+
+def __getattr__(name):  # PEP 562: the oracle, and numpy with it, loads on first use
+    if name in ("OracleTrajectory", "integrate", "period"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

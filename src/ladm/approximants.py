@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NotTabulatedError
 
 
@@ -27,6 +25,7 @@ class SinusoidSum:
 
     def eval(self, t):
         """x at t (a float or an array), the terms added left to right."""
+        import numpy as np
         total = 0.0
         for a, w in self.terms:
             total = total + a * np.sin(w * t)

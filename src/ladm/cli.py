@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from . import oracle, report, svgplot
+from . import report, svgplot
 from .errors import DomainError, NotTabulatedError, OracleError
 from .report import _fmt
 from .solver import oscillator_series
@@ -79,6 +79,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_period(args) -> int:
+    from . import oracle
     print(_fmt(oracle.period(oracle.integrate(args.beta))))
     return 0
 

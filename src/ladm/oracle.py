@@ -67,11 +67,16 @@ class OracleTrajectory:
         return t, math.sqrt(2.0) * (a * a * d2 - 1.0) / (a * d)
 
     def interpolant(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """(u, q) at the 1-D ts.  Each time folds onto s in [0, tau], where Newton's method solves
-        |t(psi) - s| <= 4 eps tau from t inverted by interpolation at 65 nodes.  t is concave, so
-        after the first step, clipped to [0, pi/2], every iterate lies below its root."""
-        tau = self.turning_time
-        s = np.asarray(ts, dtype=float) - 2.0 * tau * (k := np.floor(np.asarray(ts) / (2.0 * tau)))
+        """(u, q) at the 1-D ts; another shape and a time that is not finite are refused.  Each
+        time folds onto s in [0, tau], where Newton's method solves |t(psi) - s| <= 4 eps tau
+        from t inverted by interpolation at 65 nodes.  t is concave, so after the first step,
+        clipped to [0, pi/2], every iterate lies below its root."""
+        ts, tau = np.asarray(ts, dtype=float), self.turning_time
+        if ts.ndim != 1:
+            raise DomainError(f"times must form a 1-D sequence, got shape {ts.shape}")
+        if (bad := ts[~np.isfinite(ts)]).size:
+            raise DomainError(f"t={bad[0]} is not finite")
+        s = ts - 2.0 * tau * (k := np.floor(ts / (2.0 * tau)))
         fold = np.minimum(s, 2.0 * tau - s)
         nodes, todo = np.linspace(0.0, np.pi / 2.0, 65), np.arange(fold.size)
         psi = np.interp(fold, self._time(np.sin(nodes), np.cos(nodes))[0], nodes)
@@ -96,13 +101,10 @@ class OracleTrajectory:
         return float(np.max(np.abs(h - h0)) / h0)
 
     def sample_on_grid(self, ts) -> list[float]:
-        """beta u(t) at the 1-D ts; another shape and a time outside [0, MAX_T_END] are refused."""
+        """beta u(t) at the 1-D ts; refuses a t outside [0, MAX_T_END], interpolant other shapes."""
         ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise DomainError(f"times must form a 1-D sequence, got shape {ts.shape}")
-        bad = np.flatnonzero(~((ts >= 0.0) & (ts <= MAX_T_END)))
-        if bad.size:
-            raise DomainError(f"t={ts[bad[0]]} outside [0, {MAX_T_END}]")
+        if (bad := ts[~((ts >= 0.0) & (ts <= MAX_T_END))]).size:  # NaN fails both tests
+            raise DomainError(f"t={bad[0]} outside [0, {MAX_T_END}]")
         return (self.beta * self.interpolant(ts)[0]).tolist()
 
 

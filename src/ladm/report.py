@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-import numpy as np
-
-from . import approximants, oracle
+from . import approximants
 from .errors import DomainError
 from .solver import oscillator_series, series_frequency
 
@@ -59,6 +57,7 @@ class ComparisonReport:
     @cached_property
     def _abs_errors(self) -> dict[str, list[float]]:
         """method -> |x - x_oracle| on the grid; empty without an oracle column."""
+        import numpy as np
         ref = self.columns.get("oracle")
         others = [m for m in self.columns if m != "oracle"] if ref else []
         return {m: np.abs(np.subtract(self.columns[m], ref)).tolist() for m in others}
@@ -151,6 +150,7 @@ def build_report(
     n_terms: int = DEFAULT_N_TERMS,
 ) -> ComparisonReport:
     """Evaluate the requested methods on a uniform grid against the oracle."""
+    import numpy as np
     methods = tuple(m.lower() for m in methods)
     for m in methods:
         if m not in ALL_METHODS:
@@ -169,6 +169,7 @@ def build_report(
 
     period = None
     if "oracle" in methods:
+        from . import oracle
         traj = oracle.integrate(beta)
         columns["oracle"] = traj.sample_on_grid(np.minimum(ts, t_max))  # t_max, not its rounding
         period = oracle.period(traj)
@@ -183,6 +184,7 @@ def ladm_column(beta: float, n_terms: int, ts) -> np.ndarray:
     Past some t the terms t^k/k! overflow and the sum turns to inf or nan;
     that is refused with a DomainError naming the first such t.
     """
+    import numpy as np
     p = oscillator_series(beta, n_terms).full_sum()
     ts = np.asarray(ts, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below

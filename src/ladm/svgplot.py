@@ -10,8 +10,6 @@ import math
 from collections.abc import Sequence
 from html import escape
 
-import numpy as np
-
 from .errors import DomainError
 
 WIDTH, HEIGHT = 720, 480
@@ -31,6 +29,7 @@ def render_lines(xs: Sequence[float], columns: dict[str, Sequence[float]], title
     is not finite, and data whose padded x or y span is not a positive
     finite float (it cannot be scaled to pixels) raise DomainError.
     """
+    import numpy as np
     all_y = [y for ys in columns.values() for y in ys]
     if not xs or not columns or any(len(ys) != len(xs) for ys in columns.values()):
         raise DomainError("need data points, and as many ys as xs in each column")

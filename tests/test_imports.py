@@ -2,7 +2,9 @@
 
 The package needs numpy alone, scipy only its tests: importing ladm, building
 the parser and every command, the oracle's included, load no scipy, and none
-of them loads the networking packages either.
+of them loads the networking packages either. numpy is imported by the
+functions that use arrays, so importing ladm, building the parser and
+``ladm series`` load no numpy; the oracle's exports load it on first use.
 """
 
 import json
@@ -31,6 +33,26 @@ def _heavy(modules: set[str]) -> set[str]:
 
 def test_import_and_parser_load_no_scipy():
     assert _heavy(_modules_after("import ladm, ladm.cli\nladm.cli.build_parser()")) == set()
+
+
+@pytest.mark.parametrize("code", [
+    "import ladm, ladm.cli\nladm.cli.build_parser()",
+    *(f"from ladm import cli\nassert cli.main({json.dumps(argv)}) == 0" for argv in (
+        ["series", "--beta", "0.1"], ["series", "--beta", "0.1", "--format", "json"])),
+], ids=["parser", "series-csv", "series-json"])
+def test_parser_and_series_load_no_numpy(code):
+    assert {m for m in _modules_after(code) if m.split(".")[0] == "numpy"} == set()
+
+
+def test_oracle_exports_load_the_oracle_on_first_use():
+    code = """import ladm
+assert "numpy" not in sys.modules and "ladm.oracle" not in sys.modules
+from ladm import *
+from ladm import oracle
+assert (OracleTrajectory, integrate, period) == (oracle.OracleTrajectory, oracle.integrate,
+                                                 oracle.period)
+assert not hasattr(ladm, "nope")"""
+    assert {"numpy", "ladm.oracle"} <= _modules_after(code)
 
 
 @pytest.fixture()

@@ -14,6 +14,7 @@ from ladm import DomainError, OracleError, build_report, hbm_frequency, integrat
 from ladm.oracle import MAX_T_END, _excess_energy, _rf_rd
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
+NOT_1D = [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"), (np.zeros((2, 0)), r"\(2, 0\)")]
 
 
 @pytest.fixture(scope="module")
@@ -159,14 +160,15 @@ class TestIntegrate:
         assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-8
 
     def test_time_reversal_symmetry(self):
-        beta, t_end = 0.3, 17.0
-        kw = dict(method="DOP853", rtol=1e-12, atol=1e-12)
-        fwd = scipy_ivp(_rhs(beta), (0.0, t_end), [0.0, _gamma(beta)], **kw)
-        u1, q1 = fwd.y[:, -1]
-        back = scipy_ivp(_rhs(beta), (0.0, t_end), [u1, -q1], **kw)
-        u2, q2 = back.y[:, -1]
-        assert beta * u2 == pytest.approx(0.0, abs=1e-8)
-        assert beta * q2 == pytest.approx(-beta * _gamma(beta), abs=1e-8)
+        # x is odd with period P and p = x'/sqrt(1 - x'^2) even, so u(P - t) = -u(t) and
+        # q(P - t) = q(t): within 1e-14 of the amplitude and of g over one period (1.7e-15 seen)
+        for beta in (1e-6, 0.3, 0.9, 0.99999999999995):
+            traj = integrate(beta)
+            big_p = period(traj)
+            ts = np.linspace(0.0, big_p, 1001)
+            (u, q), (u_back, q_back) = traj.interpolant(ts), traj.interpolant(big_p - ts)
+            assert np.max(np.abs(u_back + u)) <= 1e-14 * traj.samples[-1][1], beta
+            assert np.max(np.abs(q_back - q)) <= 1e-14 * _gamma(beta), beta
 
     @pytest.mark.parametrize("until", [math.inf, math.nan], ids=["inf-t_end", "nan-t_end"])
     def test_config_rejects_non_finite(self, until):
@@ -315,8 +317,7 @@ class TestSampling:
         with pytest.raises(DomainError, match=rf"^t={first} outside \[0, 10000\.0\]$"):
             traj.sample_on_grid(ts)
 
-    @pytest.mark.parametrize("ts, shape", [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"),
-                                           (np.zeros((2, 0)), r"\(2, 0\)")])
+    @pytest.mark.parametrize("ts, shape", NOT_1D)
     def test_refuses_times_that_are_not_1d(self, long_trajectories, ts, shape):
         with pytest.raises(DomainError,
                            match=rf"^times must form a 1-D sequence, got shape {shape}$"):
@@ -391,6 +392,19 @@ class TestDense:
             u, q = traj.interpolant([t])
             assert u.shape == q.shape == (1,)
         assert [v.shape for v in traj.interpolant([])] == [(0,), (0,)]
+
+    @pytest.mark.parametrize("ts, shape", NOT_1D)
+    def test_refuses_times_that_are_not_1d(self, long_trajectories, ts, shape):
+        with pytest.raises(DomainError,
+                           match=rf"^times must form a 1-D sequence, got shape {shape}$"):
+            long_trajectories[0.1].interpolant(ts)
+
+    @pytest.mark.parametrize("ts, first", [
+        ([math.nan], "nan"), ([1.0, math.inf, math.nan], "inf"), ([-2.0, -math.inf], "-inf")])
+    def test_refuses_a_time_that_is_not_finite(self, long_trajectories, ts, first):
+        # a NaN used to come back as a NaN position; times of either sign are folded
+        with pytest.raises(DomainError, match=rf"^t={first} is not finite$"):
+            long_trajectories[0.1].interpolant(ts)
 
 
 class TestPeriod:
