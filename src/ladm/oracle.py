@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, OracleError
 
 _NEWTON_CAP = 40  # Newton steps before a position is given up with an OracleError
-MAX_T_END = 1e4  # the largest time sample_on_grid accepts and the largest horizon integrate takes
+MAX_T_END = 1e4  # the largest time sample_on_grid accepts; integrate refuses an until past it
 
 
 def _rf_rd(x, y, z, steps=None):
@@ -45,7 +45,7 @@ def _excess_energy(beta, u, q):
 
 
 class OracleTrajectory:
-    """Exact at every time; ``samples`` holds (t, u, q) at the start and at the first turn."""
+    """Exact at every time; ``samples`` is for perfbench's oracle.integrate.steps counter."""
 
     def __init__(self, beta: float):
         g = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
@@ -53,7 +53,7 @@ class OracleTrajectory:
         self.m, self.mc = (g * beta / (1.0 + g)) ** 2, 2.0 / (1.0 + g)  # m, 1 - m: no cancellation
         # the duplications of the hardest arguments, at psi = pi/2, for all: same bits in any batch
         self.steps = _rf_rd(0.0, 1.0, self.mc)[2]
-        self.turning_time = float(self._time(np.ones(1), np.zeros(1))[0][0])  # tau = t(pi/2)
+        self.turning_time = float(self._time(1.0, 0.0)[0])  # tau = t(pi/2)
         self.samples = (0.0, 0.0, g), (self.turning_time, g * math.sqrt(2.0) / self.a, 0.0)
 
     def _time(self, s, c):
@@ -109,7 +109,7 @@ class OracleTrajectory:
 
 
 def integrate(beta: float, until: float = 0.0) -> OracleTrajectory:
-    """The exact trajectory from x = 0 at speed beta, for every time; ``until`` is only checked."""
+    """The exact trajectory from x = 0 at speed beta; ``until`` is only checked, not a horizon."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if not until <= MAX_T_END:

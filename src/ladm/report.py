@@ -206,7 +206,7 @@ def sweep_csv(beta_min: float, beta_max: float, steps: int) -> str:
         raise DomainError(f"steps must lie in [2, {MAX_GRID_POINTS}], got {steps}")
     lines = ["beta,max_abs_err_ladm,omega_series,omega_hbm,oracle_period"]
     for i in range(steps):
-        beta = beta_min + (beta_max - beta_min) * i / (steps - 1)
+        beta = min(beta_min + (beta_max - beta_min) * i / (steps - 1), beta_max)  # may round up
         rep = build_report(beta, t_max=5.0, dt=0.1, methods=("ladm", "oracle"))
         f = rep.frequency_summary
         row = (beta, rep.errors["ladm"][0], f["omega_series"], f["omega_hbm"], f["oracle_period"])

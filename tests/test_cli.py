@@ -124,14 +124,14 @@ class TestCompareCommand:
         assert out == "" and "finite" in err
 
     def test_huge_horizon_exit_3(self, tmp_path, capsys):
-        # a two-point grid whose oracle horizon used to integrate without end
+        # a two-point grid to t = 1e300, past MAX_T_END, which used to integrate without end
         assert main(["compare", "--beta", "0.1", "--t-max", "1e300", "--dt", "1e300",
                      "--methods", "hbm,oracle", "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().out == ""
 
     def test_grid_rounded_past_the_cap(self, tmp_path, capsys):
         # t_max is the cap, and rounding in i*dt puts the last point two ulps past it;
-        # this used to exit 3 naming the oracle horizon 10000.000000000002
+        # this used to exit 3 naming the time 10000.000000000002
         assert make_grid(1e4, 9.578544061302683)[-1] > oracle.MAX_T_END
         out = tmp_path / "x.csv"
         assert main(["compare", "--beta", "0.5", "--t-max", "10000", "--dt", "9.578544061302683",
@@ -246,6 +246,17 @@ class TestSweepCommand:
         assert main(["sweep", "--beta-min", "0.5", "--beta-max", "0.2",
                      "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("beta_max", ["0.9999999999999997", "0.9999999999999999"])
+    def test_last_beta_is_beta_max(self, beta_max, tmp_path, monkeypatch):
+        # beta_min + (beta_max - beta_min) * i / (steps - 1) rounds up here: the last row was
+        # computed at 0.9999999999999998, or at 1.0, which exited 3
+        betas, build = [], report.build_report
+        monkeypatch.setattr(report, "build_report",
+                            lambda beta, **kwargs: betas.append(beta) or build(beta, **kwargs))
+        assert main(["sweep", "--beta-min", "0.3", "--beta-max", beta_max, "--steps", "2",
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert betas == [0.3, float(beta_max)]
+
 
     @pytest.mark.parametrize("steps", [MAX_GRID_POINTS + 1, 10**9])
     def test_steps_past_the_grid_cap_exit_3(self, steps, tmp_path, capsys, monkeypatch):
@@ -333,23 +344,6 @@ class TestPeriodCommand:
         assert main(["period", "--beta", "0.1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(6.295, abs=1e-2)
 
-    def test_long_horizon_stops_at_the_first_turn(self, monkeypatch, capsys):
-        # the samples of the trajectory end at its first turn, T/4
-        trajs = []
-
-        def spy(*args, **kwargs):
-            trajs.append(integrate(*args, **kwargs))
-            return trajs[-1]
-
-        monkeypatch.setattr(oracle, "integrate", spy)
-        assert main(["period", "--beta", "0.5"]) == 0
-        (traj,) = trajs
-        quarter = period(traj) / 4.0
-        assert float(capsys.readouterr().out) == pytest.approx(4.0 * quarter, rel=1e-11)
-        (t_prev, _, q_prev), (t_last, _, q_last) = traj.samples[-2:]
-        assert q_prev > 0.0 >= q_last
-        assert t_prev < quarter <= t_last < 2.0
-
     @pytest.mark.parametrize("beta", ["nan", "inf", "1.5", "1", "0", "-0.5"])
     def test_beta_outside_domain_exit_3(self, beta, capsys):
         assert main(["period", "--beta", beta]) == 3
@@ -395,8 +389,8 @@ class TestPeriodCommand:
 
 @pytest.mark.parametrize("beta", ["0.945", "0.97", "0.99", "0.999"])
 class TestNearLightSpeed:
-    """The first three used to exit 4 because two periods had to fit a
-    horizon of 20; 0.999 (T ~ 26.8) exited 4 while the horizon stayed 20."""
+    """The first three used to exit 4 because a stepper had to fit two periods
+    into t <= 20; 0.999 (T ~ 26.8) exited 4 while that bound stayed 20."""
 
     def test_period(self, beta, capsys):
         assert main(["period", "--beta", beta]) == 0
@@ -544,27 +538,12 @@ class TestReportHelpers:
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(0.05, 0.996), t_max=st.floats(0.05, 25.0), dt=st.floats(0.05, 5.0))
     def test_oracle_matches_full_horizon_trajectory(self, beta, t_max, dt):
-        # build_report's trajectory is the same whatever the grid, sampled at most at t_max
-        rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
-        full = integrate(beta, 30.0)
-        assert rep.columns["oracle"] == tuple(full.sample_on_grid(np.minimum(rep.grid, t_max)))
-        assert rep.oracle_period == period(full)
+        _assert_oracle_column_is_the_trajectory(beta, t_max, dt)
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 0.99])
-    def test_oracle_steps_one_quarter_orbit_whatever_the_grid(self, beta, monkeypatch):
-        # the samples end at the first turn, for a short grid and a long one alike
-        trajs = []
-
-        def spy(*args, **kwargs):
-            trajs.append(integrate(*args, **kwargs))
-            return trajs[-1]
-
-        monkeypatch.setattr(oracle, "integrate", spy)
+    def test_oracle_steps_one_quarter_orbit_whatever_the_grid(self, beta):
         for t_max in (5.0, 1000.0):
-            build_report(beta, t_max=t_max, dt=0.5, methods=("oracle",))
-        short, long = trajs
-        assert len(short.samples) == len(long.samples) <= 30
-        assert short.samples[-1][0] < period(long) / 2.0
+            _assert_oracle_column_is_the_trajectory(beta, t_max, 0.5)
 
     def test_from_json_recomputes_errors(self):
         rep = build_report(0.1, t_max=3.0, dt=0.5, methods=("ladm", "oracle"))
@@ -613,6 +592,15 @@ class TestReportHelpers:
             sweep_csv(0.2, 0.1, 5)
         with pytest.raises(errors.DomainError):
             sweep_csv(0.1, 0.2, 1)
+
+
+def _assert_oracle_column_is_the_trajectory(beta, t_max, dt):
+    """build_report's oracle column is integrate(beta) sampled at the grid, at most at t_max, and
+    its period that trajectory's, whatever the grid."""
+    rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
+    traj = integrate(beta)
+    assert rep.columns["oracle"] == tuple(traj.sample_on_grid(np.minimum(rep.grid, t_max)))
+    assert rep.oracle_period == period(traj)
 
 
 def _row_loop_csv(rep):

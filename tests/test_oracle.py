@@ -1,4 +1,15 @@
+"""The exact oracle, each property asserted in one place.
+
+Test names from the DOP853 oracle are kept, so the suite's ids stay stable.  ``integrate(beta,
+until)`` checks ``until`` and ignores it: the tests named after a horizon or a stop rule are cases
+of ``_assert_until_changes_nothing`` and ``_assert_max_t_end_bounds_only_sampling``.  Only
+perfbench's step counter reads ``samples``: ``TestIntegrate::test_initial_condition_exact`` pins
+it, ``TestPeriod::test_interpolant_returns_the_samples_at_the_bracket_ends`` pins its bits, and
+the other tests read ``turning_time`` and the amplitude ``interpolant([turning_time])[0][0]``.
+"""
+
 import math
+import re
 import sys
 import time
 
@@ -18,8 +29,8 @@ NOT_1D = [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"), (np.zeros((2, 0)), r"\(2,
 
 
 @pytest.fixture(scope="module")
-def long_trajectories():
-    return {beta: integrate(beta, 100.0) for beta in BETAS}
+def trajectories():
+    return {beta: integrate(beta) for beta in BETAS}
 
 
 def _gamma(beta):
@@ -45,11 +56,39 @@ def _relative_drift(beta, sol, ts):
     return float(np.max(np.abs(h - h0)) / h0)
 
 
-def _dop853_positions(beta, t_end, tol, ts):
-    """Positions at ts from scipy's DOP853 on the oracle's own system at tolerance tol."""
-    sol = scipy_ivp(_rhs(beta), (0.0, t_end), [0.0, _gamma(beta)], method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True).sol
-    return beta * sol(ts)[0]
+def _amplitude(traj):
+    """u at the turning time, A / beta."""
+    return traj.interpolant([traj.turning_time])[0][0]
+
+
+def _assert_until_changes_nothing(beta, until):
+    """integrate(beta, until) is, bit for bit, integrate(beta): until is checked, not a horizon."""
+    traj, ref = integrate(beta, until), integrate(beta)
+    assert (traj.samples, traj.turning_time) == (ref.samples, ref.turning_time)
+    assert period(traj) == period(ref)
+    grid = np.linspace(0.0, MAX_T_END, 201)
+    assert traj.sample_on_grid(grid) == ref.sample_on_grid(grid)
+
+
+def _assert_max_t_end_bounds_only_sampling(monkeypatch, bound):
+    """A smaller MAX_T_END, here below a quarter period or half of one at beta = 0.1, leaves the
+    period as it was and bounds the times that sample_on_grid accepts."""
+    want = period(integrate(0.1))
+    monkeypatch.setattr(oracle, "MAX_T_END", bound)
+    traj = integrate(0.1)
+    assert period(traj) == want
+    message = f"t={1.5 * bound} outside [0, {bound}]"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        traj.sample_on_grid([1.5 * bound])
+
+
+def _assert_drift_is_rounding(beta):
+    """The exact trajectory conserves h, so in units of beta only rounding is left at every beta,
+    and it is the drift of the independent monitor on the first quarter orbit."""
+    traj = integrate(beta)
+    assert 0.0 < traj.energy_drift <= 4e-15
+    ts = np.linspace(0.0, traj.turning_time, 2048)
+    assert traj.energy_drift == _relative_drift(beta, traj.interpolant, ts)
 
 
 class TestEnergy:
@@ -109,55 +148,51 @@ class TestCarlson:
 
 
 class TestIntegrate:
+    """The trajectory's domain and refusals, its samples and what the exact solution conserves."""
+
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_beta_domain(self, beta):
         with pytest.raises(DomainError):
-            integrate(beta, 10.0)
+            integrate(beta)
 
-    def test_initial_condition_exact(self, long_trajectories):
-        t0, u0, q0 = long_trajectories[0.1].samples[0]
-        assert (t0, u0, q0) == (0.0, 0.0, _gamma(0.1))
-        assert _speed(0.1 * q0) == pytest.approx(0.1, rel=1e-15)
+    def test_initial_condition_exact(self):
+        # samples are the start (0, 0, g) and the turn (tau, A / beta, 0), A = sqrt(2 (g - 1)),
+        # and the start moves at speed beta
+        for beta in (1e-6, 0.1, 0.2, 0.5, 0.9, 0.99):
+            traj, g = integrate(beta), _gamma(beta)
+            (t0, u0, q0), (tau, amplitude, q_turn) = traj.samples
+            assert (t0, u0, q0, tau, q_turn) == (0.0, 0.0, g, traj.turning_time, 0.0)
+            assert beta * amplitude == pytest.approx(
+                math.sqrt(2.0 * (g - 1.0)) if beta > 1e-3 else beta, rel=1e-9)
+            assert _speed(beta * q0) == pytest.approx(beta, rel=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
-    def test_energy_drift(self, long_trajectories, beta):
-        assert long_trajectories[beta].energy_drift <= 1e-9
+    def test_energy_drift(self, beta):
+        _assert_drift_is_rounding(beta)
 
     @pytest.mark.parametrize("beta", BETAS)
-    def test_speed_bound(self, long_trajectories, beta):
+    def test_speed_bound(self, trajectories, beta):
         # v is extremal at x=0 by energy conservation, so |v| <= beta
-        traj = long_trajectories[beta]
+        traj = trajectories[beta]
         ts = np.linspace(0.0, 100.0, 4001)
         vs = _speed(beta * traj.interpolant(ts)[1])
         assert np.max(np.abs(vs)) <= beta + 1e-9
 
     @pytest.mark.parametrize("beta", [1e-300, 1e-12, 0.5, 0.9])
     def test_energy_drift_is_relative_at_every_beta(self, beta):
-        # the exact trajectory conserves h, so in units of beta only rounding is left at every
-        # beta, and it is the drift of the independent monitor on the same quarter orbit
-        traj = integrate(beta)
-        assert 0.0 < traj.energy_drift <= 4e-15
-        ts = np.linspace(0.0, traj.turning_time, 2048)
-        assert traj.energy_drift == _relative_drift(beta, traj.interpolant, ts)
+        _assert_drift_is_rounding(beta)
 
-    def test_samples_strictly_increasing(self, long_trajectories):
-        ts = [t for t, _, _ in long_trajectories[0.2].samples]
+    def test_samples_strictly_increasing(self, trajectories):
+        ts = [t for t, _, _ in trajectories[0.2].samples]
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_nonrelativistic_limit(self):
         beta = 1e-6
-        traj = integrate(beta, 10.0)
+        traj = integrate(beta)
         ts = np.linspace(0.0, 10.0, 500)
         xs = traj.sample_on_grid(ts)
         for t, x in zip(ts, xs):
             assert x == pytest.approx(beta * math.sin(t), abs=1e-9)
-
-    def test_tolerance_self_consistency(self):
-        # scipy's DOP853 at the tolerance 1e-10 stays within its error level of the exact positions
-        grid = np.linspace(0.0, 100.0, 401)
-        a = _dop853_positions(0.5, 100.0, 1e-10, grid)
-        b = integrate(0.5, 100.0).sample_on_grid(grid)
-        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-8
 
     def test_time_reversal_symmetry(self):
         # x is odd with period P and p = x'/sqrt(1 - x'^2) even, so u(P - t) = -u(t) and
@@ -167,7 +202,7 @@ class TestIntegrate:
             big_p = period(traj)
             ts = np.linspace(0.0, big_p, 1001)
             (u, q), (u_back, q_back) = traj.interpolant(ts), traj.interpolant(big_p - ts)
-            assert np.max(np.abs(u_back + u)) <= 1e-14 * traj.samples[-1][1], beta
+            assert np.max(np.abs(u_back + u)) <= 1e-14 * _amplitude(traj), beta
             assert np.max(np.abs(q_back - q)) <= 1e-14 * _gamma(beta), beta
 
     @pytest.mark.parametrize("until", [math.inf, math.nan], ids=["inf-t_end", "nan-t_end"])
@@ -177,20 +212,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("until", [-1.0, 0.0, 1.0])
     def test_until_inside_the_first_quarter_stops_at_the_turn(self, until):
-        # at beta = 0.5 the orbit turns at t ~ 1.66, where the samples end whatever until
-        traj = integrate(0.5, until)
-        assert traj.samples == integrate(0.5).samples
-        (_, _, q_prev), (_, _, q_last) = traj.samples[-2:]
-        assert q_prev > 0.0 >= q_last
+        _assert_until_changes_nothing(0.5, until)
 
     def test_config_caps_horizon(self):
+        # an until past MAX_T_END is refused; the cap itself is a case of the until tests
         with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, 1e300)  # used to integrate without end
         with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, np.nextafter(MAX_T_END, math.inf))
-        # the cap itself passes the check, and the trajectory does not depend on until
-        assert {period(integrate(0.5, until)) for until in (MAX_T_END, 20.0, 0.0)} == {
-            period(integrate(0.5))}
 
     def test_missing_scipy_is_not_an_oracle_error(self, monkeypatch):
         # the oracle needs numpy alone: a missing scipy raises nothing
@@ -208,15 +237,15 @@ class TestIntegrate:
 
 
 class TestStepper:
-    """The exact trajectory against scipy's DOP853 stepper at rtol = atol = 1e-13 on the same
-    system in units of beta, an independent integration."""
+    """The exact trajectory against an independent reference: scipy's DOP853 at rtol = atol =
+    1e-13 on the same system in units of beta."""
 
-    @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.2, 0.5, 0.9, 0.99])
     def test_same_steps_and_trajectory_as_scipy(self, beta):
         # at scipy's own accepted steps on [0, 100], and between them through its dense output
         sol = scipy_ivp(_rhs(beta), (0.0, 100.0), [0.0, _gamma(beta)], method="DOP853",
                         rtol=1e-13, atol=1e-13, dense_output=True)
-        traj = integrate(beta, 100.0)
+        traj = integrate(beta)
         u, q = traj.interpolant(sol.t)
         assert np.max(np.abs(u - sol.y[0])) <= 1e-9
         assert np.max(np.abs(q - sol.y[1])) <= 1e-9
@@ -235,36 +264,24 @@ class TestStepper:
 
 
 class TestStopRule:
-    """``integrate(beta, until)`` covers every time, its samples the start and the first turn,
-    and Newton's method stops on the residual |t(psi) - s| <= 4 eps tau."""
+    """Cases of the until and drift checks, and Newton's stop rule |t(psi) - s| <= 4 eps tau."""
 
     @pytest.mark.parametrize("beta, until", [(1e-6, 0.0), (0.1, 0.0), (0.5, 1.0), (0.5, 3.0),
                                              (0.9, 0.0), (0.99, 5.0), (0.2, 10.0), (0.5, 17.3)])
     def test_samples_are_a_prefix_of_the_full_run(self, beta, until):
-        full, part = integrate(beta, 20.0), integrate(beta, until)
-        assert part.samples == full.samples[:len(part.samples)] == full.samples
-        (t0, u0, q0), (tau, amplitude, q_turn) = part.samples
-        assert (t0, u0, q_turn) == (0.0, 0.0, 0.0) and q0 == _gamma(beta)
-        assert tau == part.turning_time and beta * amplitude == pytest.approx(
-            math.sqrt(2.0 * (_gamma(beta) - 1.0)) if beta > 1e-3 else beta, rel=1e-9)
+        _assert_until_changes_nothing(beta, until)
 
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9, 0.99, 0.996])
     def test_period_at_until_zero_is_the_full_horizon_period(self, beta):
-        assert period(integrate(beta)) == period(integrate(beta, 20.0))
+        _assert_until_changes_nothing(beta, 20.0)
 
     def test_a_period_past_the_bound_stops_at_the_turn(self):
-        # T ~ 10061 > MAX_T_END, and the samples end at the turn T/4
-        traj = integrate(0.99999999999995)
-        (t_prev, _, q_prev), (t_last, _, q_last) = traj.samples[-2:]
-        assert q_prev > 0.0 >= q_last
-        assert t_prev < period(traj) / 4.0 <= t_last < MAX_T_END / 2.0
+        # T ~ 10061 > MAX_T_END
+        _assert_until_changes_nothing(0.99999999999995, MAX_T_END)
 
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.9])
     def test_energy_drift_covers_the_integrated_span(self, beta):
-        # the monitor reads 2048 uniform times from the first sample to the turn
-        traj = integrate(beta)
-        span = np.linspace(traj.samples[0][0], traj.samples[-1][0], 2048)
-        assert traj.energy_drift == _relative_drift(beta, traj.interpolant, span)
+        _assert_drift_is_rounding(beta)
 
     @pytest.mark.parametrize("beta", [0.1, 0.9, 0.999, 0.99999999999995, 0.9999999999999999])
     def test_residual_rule(self, beta, monkeypatch):
@@ -272,33 +289,33 @@ class TestStopRule:
         # within the 4 eps tau of the rule, and rounding, of its time; a step rule |dpsi| <= 1e-14
         # stalls near beta = 1, where dt/dpsi -> 1 while tau ~ 1e4
         traj = integrate(beta)
-        calls, time_of = [], traj._time
+        amplitude, calls, time_of = _amplitude(traj), [], traj._time
         monkeypatch.setattr(traj, "_time", lambda s, c: calls.append(s.size) or time_of(s, c))
         folded = np.linspace(0.0, traj.turning_time, 2001)
         u, q = traj.interpolant(folded)
         r = q / traj.g  # c D(psi), and c^2 solves m c^4 + (1 - m) c^2 = r^2
         c = np.sqrt(2.0 * r * r / (traj.mc + np.sqrt(traj.mc**2 + 4.0 * traj.m * r * r)))
-        psi = np.arctan2(u / traj.samples[1][1], c)
+        psi = np.arctan2(u / amplitude, c)
         t, _ = time_of(np.sin(psi), np.cos(psi))
         assert np.max(np.abs(t - folded)) <= 8.0 * np.finfo(float).eps * traj.turning_time
         assert len(calls) <= 14
 
 
 class TestSampling:
-    def test_origin(self, long_trajectories):
-        assert long_trajectories[0.1].sample_on_grid([0.0]) == [0.0]
+    """``sample_on_grid``: its domain, the fold, and the 40-digit mpmath inversion."""
 
-    def test_accepted_step_matches_stored_sample(self, long_trajectories):
-        # the stored turn sample is the position and momentum at the turning time
-        traj = long_trajectories[0.2]
-        tau, u, q = traj.samples[-1]
-        assert tau == traj.turning_time and q == 0.0
-        assert traj.sample_on_grid([tau]) == [0.2 * u]
-        assert abs(traj.interpolant([tau])[1][0]) <= 1e-15
+    def test_origin(self, trajectories):
+        assert trajectories[0.1].sample_on_grid([0.0]) == [0.0]
 
-    def test_out_of_range(self, long_trajectories):
+    def test_accepted_step_matches_stored_sample(self, trajectories):
+        # at the turning time the position is beta times the amplitude and the momentum is 0
+        traj = trajectories[0.2]
+        (u,), (q,) = traj.interpolant([traj.turning_time])
+        assert traj.sample_on_grid([traj.turning_time]) == [0.2 * u] and abs(q) <= 1e-15
+
+    def test_out_of_range(self, trajectories):
         # any time in [0, MAX_T_END] folds onto the first quarter orbit
-        traj = long_trajectories[0.1]
+        traj = trajectories[0.1]
         assert len(traj.sample_on_grid([101.0, MAX_T_END])) == 2
         for t in (np.nextafter(MAX_T_END, math.inf), 2.0 * MAX_T_END, -0.5):
             with pytest.raises(DomainError):
@@ -312,33 +329,34 @@ class TestSampling:
             ([2.0, 10001.0, -0.5], "10001.0"),
         ],
     )
-    def test_rejects_batch_naming_first_offender(self, long_trajectories, ts, first):
-        traj = long_trajectories[0.1]
+    def test_rejects_batch_naming_first_offender(self, trajectories, ts, first):
+        traj = trajectories[0.1]
         with pytest.raises(DomainError, match=rf"^t={first} outside \[0, 10000\.0\]$"):
             traj.sample_on_grid(ts)
 
     @pytest.mark.parametrize("ts, shape", NOT_1D)
-    def test_refuses_times_that_are_not_1d(self, long_trajectories, ts, shape):
+    def test_refuses_times_that_are_not_1d(self, trajectories, ts, shape):
         with pytest.raises(DomainError,
                            match=rf"^times must form a 1-D sequence, got shape {shape}$"):
-            long_trajectories[0.1].sample_on_grid(ts)
+            trajectories[0.1].sample_on_grid(ts)
 
-    def test_empty(self, long_trajectories):
-        assert long_trajectories[0.1].sample_on_grid([]) == []
+    def test_empty(self, trajectories):
+        assert trajectories[0.1].sample_on_grid([]) == []
 
     @pytest.mark.parametrize("kind", ["unsorted", "step_times"])
-    def test_matches_scalar_interpolant_bit_for_bit(self, long_trajectories, kind):
+    def test_matches_scalar_interpolant_bit_for_bit(self, trajectories, kind):
         # one time at a time, and past the turning time tau the fold
-        # x(t) = (-1)^k x(min(s, 2 tau - s)) with s = t - 2 tau k, k = floor(t / 2 tau)
-        traj = long_trajectories[0.5]
+        # x(t) = (-1)^k x(min(s, 2 tau - s)) with s = t - 2 tau k, k = floor(t / 2 tau);
+        # "step_times" are the ends of the first quarter orbit, 0 and tau
+        traj = trajectories[0.5]
         tau = traj.turning_time
-        steps = [t for t, _, _ in traj.samples]
+        ends = [0.0, tau]
         if kind == "unsorted":
             rng = np.random.default_rng(7)
             ts = rng.permutation(np.concatenate([rng.uniform(0.0, tau, 200), [tau],
-                                                 rng.uniform(0.0, 100.0, 797), steps]))
+                                                 rng.uniform(0.0, 100.0, 797), ends]))
         else:
-            ts = steps
+            ts = ends
 
         def fold(t):
             k = math.floor(t / (2.0 * tau))
@@ -355,91 +373,76 @@ class TestSampling:
     def test_matches_elliptic_inversion(self, beta):
         # within 1e-12 of the amplitude up to t = 1000: the fold multiplies the period's
         # rounding by t / T, 3e-13 at most
-        amplitude = beta * integrate(beta).samples[-1][1]
+        amplitude = beta * _amplitude(integrate(beta))
         for t_max, dt in ((20.0, 0.5), (1000.0, 40.0)):
             rep = build_report(beta, t_max=t_max, dt=dt, methods=("oracle",))
             err = np.abs(np.subtract(rep.columns["oracle"], _elliptic_positions(beta, rep.grid)))
             assert np.max(err) <= 1e-12 * amplitude, (t_max, np.max(err) / amplitude)
 
-    def test_midpoint_interpolation_accuracy(self):
-        # between its steps, scipy's DOP853 dense output at 1e-13 agrees with the exact positions
-        traj = integrate(0.2, 10.0)
-        ts = np.linspace(0.1, 9.9, 333)
-        a = traj.sample_on_grid(ts)
-        b = _dop853_positions(0.2, 10.0, 1e-13, ts)
-        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-9
-
 
 class TestDense:
-    """The vectorised Newton iteration: a batch of times gives, bit for bit, what each time gives
-    alone, since a position stops iterating once it meets the stop rule."""
+    """Batch bit-identity of ``interpolant``: a batch of times gives, bit for bit, what each time
+    gives alone, since a position stops iterating once it meets the stop rule; and its refusals."""
 
-    @pytest.mark.parametrize("until", [3.0, 20.0, 100.0])
+    @pytest.mark.parametrize("t_max", [3.0, 20.0, 100.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 0.5, 0.77, 0.9])
-    def test_matches_interpolant_bit_for_bit(self, beta, until):
-        traj = integrate(beta, until)
+    def test_matches_interpolant_bit_for_bit(self, beta, t_max):
+        traj = integrate(beta)
         rng = np.random.default_rng(11)
-        ts = rng.uniform(0.0, until, 100)
-        ts = rng.permutation(np.concatenate([ts, ts[::4], [0.0, until, traj.turning_time]]))
+        ts = rng.uniform(0.0, t_max, 100)
+        ts = rng.permutation(np.concatenate([ts, ts[::4], [0.0, t_max, traj.turning_time]]))
         got = np.array(traj.interpolant(ts))
         want = np.array([np.array(traj.interpolant([t]))[:, 0] for t in ts]).T
         assert got.shape == want.shape == (2, ts.size)
         assert got.tobytes() == want.tobytes()
 
-    def test_single_and_empty(self, long_trajectories):
-        traj = long_trajectories[0.2]
+    def test_single_and_empty(self, trajectories):
+        traj = trajectories[0.2]
         for t in (0.0, traj.turning_time, 37.25, 100.0):
             u, q = traj.interpolant([t])
             assert u.shape == q.shape == (1,)
         assert [v.shape for v in traj.interpolant([])] == [(0,), (0,)]
 
     @pytest.mark.parametrize("ts, shape", NOT_1D)
-    def test_refuses_times_that_are_not_1d(self, long_trajectories, ts, shape):
+    def test_refuses_times_that_are_not_1d(self, trajectories, ts, shape):
         with pytest.raises(DomainError,
                            match=rf"^times must form a 1-D sequence, got shape {shape}$"):
-            long_trajectories[0.1].interpolant(ts)
+            trajectories[0.1].interpolant(ts)
 
     @pytest.mark.parametrize("ts, first", [
         ([math.nan], "nan"), ([1.0, math.inf, math.nan], "inf"), ([-2.0, -math.inf], "-inf")])
-    def test_refuses_a_time_that_is_not_finite(self, long_trajectories, ts, first):
+    def test_refuses_a_time_that_is_not_finite(self, trajectories, ts, first):
         # a NaN used to come back as a NaN position; times of either sign are folded
         with pytest.raises(DomainError, match=rf"^t={first} is not finite$"):
-            long_trajectories[0.1].interpolant(ts)
+            trajectories[0.1].interpolant(ts)
 
 
 class TestPeriod:
+    """The period, four times the turning time, against independent references; the cost of a
+    grid; and cases of the until and MAX_T_END checks."""
+
     def test_nonrelativistic_limit(self):
-        assert period(integrate(1e-6, 20.0)) == pytest.approx(
+        assert period(integrate(1e-6)) == pytest.approx(
             2.0 * math.pi, abs=1e-6
         )
 
-    def test_beta_01_vs_hbm(self, long_trajectories):
-        p = period(long_trajectories[0.1])
+    def test_beta_01_vs_hbm(self, trajectories):
+        p = period(trajectories[0.1])
         assert p == pytest.approx(2.0 * math.pi / hbm_frequency(0.1), abs=1e-2)
 
-    def test_monotone_in_beta(self, long_trajectories):
+    def test_monotone_in_beta(self, trajectories):
         # relativistic slowing: the period grows with the initial speed
-        periods = [period(long_trajectories[b]) for b in BETAS]
+        periods = [period(trajectories[b]) for b in BETAS]
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
     def test_insufficient_horizon(self, monkeypatch):
-        # a bound MAX_T_END below a quarter period used to leave no turning point; now it
-        # bounds only the times that sample_on_grid accepts
-        monkeypatch.setattr(oracle, "MAX_T_END", 1.0)
-        traj = integrate(0.1)
-        assert period(traj) == pytest.approx(_closed_form_period(0.1), rel=4e-15)
-        with pytest.raises(DomainError, match=r"^t=1\.5 outside \[0, 1\.0\]$"):
-            traj.sample_on_grid([1.5])
+        _assert_max_t_end_bounds_only_sampling(monkeypatch, 1.0)
 
     def test_a_quarter_period_of_horizon_suffices(self, monkeypatch):
-        # the period does not depend on the bound MAX_T_END, here below half a period
-        full = period(integrate(0.1, 20.0))
-        monkeypatch.setattr(oracle, "MAX_T_END", 3.0)
-        assert period(integrate(0.1)) == full
+        _assert_max_t_end_bounds_only_sampling(monkeypatch, 3.0)
 
     def test_one_period_of_horizon_suffices(self):
-        # the old two-crossing rule needed 2T ~ 12.6 inside the horizon
-        assert period(integrate(0.1, 8.0)) == period(integrate(0.1, 20.0))
+        _assert_until_changes_nothing(0.1, 8.0)
 
     @pytest.mark.parametrize("until", [20.0, 30.0])
     @pytest.mark.parametrize("beta", [1e-6, 0.05, 0.1, 0.5, 0.9])
@@ -448,6 +451,7 @@ class TestPeriod:
         # upward zero of x, bisected on one-time calls, lies at the period
         traj = integrate(beta, until)
         assert period(traj) == 4.0 * float(traj._time(1.0, 0.0)[0])
+        assert traj.turning_time == float(traj._time(np.ones(1), np.zeros(1))[0][0])
         assert period(traj) == pytest.approx(_scalar_first_crossing(traj), rel=1e-11)
 
     @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99999999999995])
@@ -463,7 +467,7 @@ class TestPeriod:
     def test_interpolant_returns_the_samples_at_the_bracket_ends(self):
         # the start and the turn, the ends of the first quarter orbit, from 1e-300 to 1 - 1e-16
         misses = []
-        for beta in [1e-300, *np.linspace(0.01, 0.99, 50).tolist(), 0.99999999999995,
+        for beta in [1e-300, *BETAS, *np.linspace(0.01, 0.99, 50).tolist(), 0.99999999999995,
                      0.9999999999999999]:
             traj = integrate(beta)
             (t0, u0, q0), (tau, u1, _) = traj.samples
@@ -475,7 +479,8 @@ class TestPeriod:
 
     @pytest.mark.parametrize("beta", [1e-6, *BETAS, 0.99])
     def test_independent_of_horizon(self, beta):
-        assert len({period(integrate(beta, until)) for until in (0.0, 20.0, 30.0, 100.0)}) == 1
+        for until in (-1.0, 0.0, 20.0, 30.0, 100.0, MAX_T_END):
+            _assert_until_changes_nothing(beta, until)
 
     @settings(max_examples=15, deadline=None)
     @given(beta=st.floats(min_value=0.05, max_value=0.996))
@@ -491,6 +496,7 @@ class TestWholeBetaRange:
 
     @settings(max_examples=25, deadline=None)
     @given(exponent=st.floats(min_value=-300.0, max_value=math.log10(0.5)))
+    @example(exponent=-1.0)
     def test_small_beta(self, exponent):
         beta = 10.0**exponent
         assert period(integrate(beta)) == pytest.approx(_closed_form_period(beta), rel=4e-15)
