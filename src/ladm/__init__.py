@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # PEP 562: the oracle, and numpy with it, loads on first use
+def __getattr__(name):  # PEP 562: the oracle loads on first use
     if name in ("OracleTrajectory", "integrate", "period"):
         from . import oracle
         return getattr(oracle, name)

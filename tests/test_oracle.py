@@ -23,6 +23,7 @@ from scipy.special import ellipe, ellipk
 
 from ladm import DomainError, OracleError, build_report, hbm_frequency, integrate, oracle, period
 from ladm.oracle import MAX_T_END, _excess_energy, _rf_rd
+from ladm.report import make_grid
 
 BETAS = [0.1, 0.2, 0.5, 0.9]
 NOT_1D = [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"), (np.zeros((2, 0)), r"\(2, 0\)")]
@@ -80,6 +81,15 @@ def _assert_max_t_end_bounds_only_sampling(monkeypatch, bound):
     message = f"t={1.5 * bound} outside [0, {bound}]"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         traj.sample_on_grid([1.5 * bound])
+
+
+def _time_calls(monkeypatch, beta, ts):
+    """The batch size of each _time call that sample_on_grid(ts) makes at beta."""
+    traj = integrate(beta)
+    calls, time_of = [], traj._time
+    monkeypatch.setattr(traj, "_time", lambda s, c: calls.append(s.size) or time_of(s, c))
+    traj.sample_on_grid(ts)
+    return calls
 
 
 def _assert_drift_is_rounding(beta):
@@ -216,7 +226,7 @@ class TestIntegrate:
 
     def test_config_caps_horizon(self):
         # an until past MAX_T_END is refused; the cap itself is a case of the until tests
-        with pytest.raises(DomainError, match="at most 10000"):
+        with pytest.raises(DomainError, match=r"^until must be finite and at most 10000, got "):
             integrate(0.5, 1e300)  # used to integrate without end
         with pytest.raises(DomainError, match="at most 10000"):
             integrate(0.5, np.nextafter(MAX_T_END, math.inf))
@@ -457,12 +467,37 @@ class TestPeriod:
     @pytest.mark.parametrize("beta", [1e-300, 0.1, 0.5, 0.9, 0.99999999999995])
     def test_call_budget(self, beta, monkeypatch):
         # t(psi) on the 65 starting nodes, then a handful of Newton passes over a 20001-point grid
-        traj = integrate(beta)
-        calls, time_of = [], traj._time
-        monkeypatch.setattr(traj, "_time", lambda s, c: calls.append(s.size) or time_of(s, c))
-        traj.sample_on_grid(np.linspace(0.0, MAX_T_END, 20001))
+        calls = _time_calls(monkeypatch, beta, np.linspace(0.0, MAX_T_END, 20001))
         assert calls[0] == 65 and 2 <= len(calls) <= 9
         assert sum(calls[1:]) <= 4 * 20001
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("grid", ["sweep", "t_max-20"])
+    def test_hermite_start_takes_two_newton_passes(self, beta, grid, monkeypatch):
+        # the 65 nodes, one Newton step and the pass that finds every point within the rule, on
+        # sweep_csv's 51 points to t = 5 and on 2001 points to t = 20; a linear start took four
+        ts = make_grid(5.0, 0.1) if grid == "sweep" else np.linspace(0.0, 20.0, 2001)
+        calls = _time_calls(monkeypatch, beta, ts)
+        assert len(calls) == 3 and calls[0] == 65
+
+    def test_hermite_start_stays_in_its_node_bracket(self, monkeypatch):
+        # near beta = 1 an unclamped cubic start overshoots its bracket and costs a ninth pass
+        ts = np.linspace(0.0, MAX_T_END, 20001)
+        assert len(_time_calls(monkeypatch, 0.99999999999995, ts)) <= 8
+
+    def test_float_constructor_matches_the_array_path(self):
+        # steps and tau on Python floats are, bit for bit, _rf_rd's and _time's on numpy arrays,
+        # so every period print stays as it was, from 5e-324 to the largest float below 1
+        betas = [5e-324, *np.logspace(-323, -1, 300), *np.linspace(0.1, 0.99, 200),
+                 *(1.0 - np.logspace(-2, -16, 99)), 0.9999999999999999]
+        misses = []
+        for beta in map(float, betas):
+            traj = integrate(beta)
+            steps = _rf_rd(np.zeros(1), np.ones(1), np.full(1, traj.mc))[2]
+            tau = traj._time(np.ones(1), np.zeros(1))[0][0]
+            if (type(traj.turning_time), traj.steps, traj.turning_time) != (float, steps, tau):
+                misses.append(beta)
+        assert not misses
 
     def test_interpolant_returns_the_samples_at_the_bracket_ends(self):
         # the start and the turn, the ends of the first quarter orbit, from 1e-300 to 1 - 1e-16
